@@ -1,5 +1,6 @@
 #include "verify/golden.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -7,6 +8,7 @@
 
 #include "core/driver.hpp"
 #include "core/reference_kernels.hpp"
+#include "ports/registry.hpp"
 #include "util/buffer.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
@@ -20,6 +22,10 @@ constexpr const char* kColumns[] = {
     "final_rr", "volume", "mass", "internal_energy", "temperature",
     "u_sum", "u_l2", "u_min", "u_max",
     "energy_sum", "energy_l2", "energy_min", "energy_max"};
+// Port records lead with their key and trail with their metered cost.
+constexpr const char* kPortKeyColumns[] = {"model", "device", "fused",
+                                           "pipelined"};
+constexpr const char* kPortCostColumns[] = {"launches", "sim_seconds"};
 
 std::string fmt(double v) { return util::strf("%.17g", v); }
 
@@ -51,6 +57,8 @@ GoldenRecord condense_run(core::Driver& driver,
   rec.mass = last.summary.mass;
   rec.internal_energy = last.summary.internal_energy;
   rec.temperature = last.summary.temperature;
+  rec.launches = report.kernel_launches;
+  rec.sim_seconds = report.sim_total_seconds;
 
   util::Buffer<double> u(mesh.padded_cells());
   driver.kernels().read_u(u.view2d(mesh.padded_nx(), mesh.padded_ny()));
@@ -71,18 +79,85 @@ GoldenRecord compute_reference_record(core::SolverKind solver, int nx,
   return condense_run(driver, report);
 }
 
+std::vector<GoldenRecord> compute_port_records(
+    const std::vector<core::SolverKind>& solvers, int nx, int steps,
+    std::uint64_t seed, std::optional<sim::Model> only_model,
+    std::optional<sim::DeviceId> only_device) {
+  struct Variant {
+    core::SolverKind solver;
+    bool fused, pipelined;
+  };
+  std::vector<Variant> variants;
+  for (const core::SolverKind solver : solvers) {
+    variants.push_back({solver, true, false});
+    variants.push_back({solver, false, false});
+  }
+  for (const core::SolverKind solver : solvers) {
+    if (solver == core::SolverKind::kCg) variants.push_back({solver, true, true});
+  }
+
+  std::vector<GoldenRecord> records;
+  for (const sim::Model model : sim::kAllModels) {
+    if (only_model && *only_model != model) continue;
+    for (const sim::DeviceId device : sim::kAllDevices) {
+      if (only_device && *only_device != device) continue;
+      if (!ports::is_supported(model, device)) continue;
+      for (const Variant& v : variants) {
+        core::Settings s = core::Settings::default_problem();
+        s.nx = s.ny = nx;
+        s.solver = v.solver;
+        s.end_step = steps;
+        s.use_fused = v.fused;
+        s.use_pipelined = v.pipelined;
+        const core::Mesh mesh(nx, nx, s.halo_depth);
+        core::Driver driver(s, ports::make_port(model, device, mesh, seed));
+        const core::RunReport report = driver.run();
+        GoldenRecord rec = condense_run(driver, report);
+        rec.model = std::string(sim::model_id(model));
+        rec.device = std::string(sim::device_short_name(device));
+        rec.fused = v.fused;
+        rec.pipelined = v.pipelined;
+        records.push_back(std::move(rec));
+      }
+    }
+  }
+  return records;
+}
+
 void save_golden(const std::string& path,
                  const std::vector<GoldenRecord>& records) {
-  util::CsvWriter csv(path, {std::begin(kColumns), std::end(kColumns)});
+  const bool ports = std::any_of(records.begin(), records.end(),
+                                 [](const GoldenRecord& r) {
+                                   return !r.model.empty();
+                                 });
+  std::vector<std::string> header;
+  if (ports) header.assign(std::begin(kPortKeyColumns), std::end(kPortKeyColumns));
+  header.insert(header.end(), std::begin(kColumns), std::end(kColumns));
+  if (ports) {
+    header.insert(header.end(), std::begin(kPortCostColumns),
+                  std::end(kPortCostColumns));
+  }
+  util::CsvWriter csv(path, header);
   for (const GoldenRecord& r : records) {
-    csv.row({std::string(core::solver_name(r.solver)), util::strf("%d", r.nx),
-             util::strf("%d", r.steps), r.converged ? "1" : "0",
-             util::strf("%d", r.iterations),
-             util::strf("%d", r.inner_iterations), fmt(r.final_rr),
-             fmt(r.volume), fmt(r.mass), fmt(r.internal_energy),
-             fmt(r.temperature), fmt(r.u.sum), fmt(r.u.l2), fmt(r.u.min),
-             fmt(r.u.max), fmt(r.energy.sum), fmt(r.energy.l2),
-             fmt(r.energy.min), fmt(r.energy.max)});
+    std::vector<std::string> row;
+    if (ports) {
+      row = {r.model, r.device, r.fused ? "1" : "0", r.pipelined ? "1" : "0"};
+    }
+    const std::vector<std::string> base = {
+        std::string(core::solver_name(r.solver)), util::strf("%d", r.nx),
+        util::strf("%d", r.steps), r.converged ? "1" : "0",
+        util::strf("%d", r.iterations), util::strf("%d", r.inner_iterations),
+        fmt(r.final_rr), fmt(r.volume), fmt(r.mass), fmt(r.internal_energy),
+        fmt(r.temperature), fmt(r.u.sum), fmt(r.u.l2), fmt(r.u.min),
+        fmt(r.u.max), fmt(r.energy.sum), fmt(r.energy.l2), fmt(r.energy.min),
+        fmt(r.energy.max)};
+    row.insert(row.end(), base.begin(), base.end());
+    if (ports) {
+      row.push_back(util::strf("%llu",
+                               static_cast<unsigned long long>(r.launches)));
+      row.push_back(fmt(r.sim_seconds));
+    }
+    csv.row(row);
   }
 }
 
@@ -93,19 +168,31 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
   if (!std::getline(in, line)) {
     throw std::runtime_error("golden: empty file " + path);
   }
-  constexpr std::size_t kFields = std::size(kColumns);
+  // The header names the layout: reference baselines carry kColumns only,
+  // port baselines add the key and cost columns around them.
+  const std::vector<std::string> header = util::parse_csv_line(line);
+  const bool ports = !header.empty() && header.front() == kPortKeyColumns[0];
+  const std::size_t fields =
+      std::size(kColumns) +
+      (ports ? std::size(kPortKeyColumns) + std::size(kPortCostColumns) : 0);
   std::vector<GoldenRecord> records;
   while (std::getline(in, line)) {
     if (line.empty() || line == "\r") continue;
     const std::vector<std::string> cells = util::parse_csv_line(line);
-    if (cells.size() != kFields) {
+    if (cells.size() != fields) {
       throw std::runtime_error(
           util::strf("golden: malformed row in %s (%zu cells, expected %zu)",
-                     path.c_str(), cells.size(), kFields));
+                     path.c_str(), cells.size(), fields));
     }
     try {
       GoldenRecord r;
       std::size_t i = 0;
+      if (ports) {
+        r.model = cells[i++];
+        r.device = cells[i++];
+        r.fused = cells[i++] == "1";
+        r.pipelined = cells[i++] == "1";
+      }
       r.solver = parse_solver_or_throw(cells[i++]);
       r.nx = std::stoi(cells[i++]);
       r.steps = std::stoi(cells[i++]);
@@ -125,6 +212,10 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
       r.energy.l2 = std::stod(cells[i++]);
       r.energy.min = std::stod(cells[i++]);
       r.energy.max = std::stod(cells[i++]);
+      if (ports) {
+        r.launches = std::stoull(cells[i++]);
+        r.sim_seconds = std::stod(cells[i++]);
+      }
       records.push_back(r);
     } catch (const std::invalid_argument&) {
       throw std::runtime_error("golden: non-numeric cell in " + path);
@@ -138,7 +229,10 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
 const GoldenRecord* find_golden(const std::vector<GoldenRecord>& records,
                                 core::SolverKind solver, int nx, int steps) {
   for (const GoldenRecord& r : records) {
-    if (r.solver == solver && r.nx == nx && r.steps == steps) return &r;
+    if (r.model.empty() && r.solver == solver && r.nx == nx &&
+        r.steps == steps) {
+      return &r;
+    }
   }
   return nullptr;
 }

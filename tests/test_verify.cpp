@@ -372,6 +372,33 @@ TEST(Golden, CsvRoundTripPreservesEveryBit) {
   std::remove(path.c_str());
 }
 
+TEST(Golden, PortRecordsRoundTripWithKeyAndCost) {
+  const auto records = verify::compute_port_records(
+      {core::SolverKind::kCg}, 24, 1, 7, sim::Model::kKokkos,
+      sim::DeviceId::kGpuK20X);
+  ASSERT_EQ(records.size(), 3u);  // fused, classic, pipelined
+  const std::string path = temp_path("golden_ports_roundtrip.csv");
+  verify::save_golden(path, records);
+  const auto loaded = verify::load_golden(path);
+  ASSERT_EQ(loaded.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(loaded[i].model, "kokkos");
+    EXPECT_EQ(loaded[i].device, "gpu");
+    EXPECT_EQ(loaded[i].fused, records[i].fused);
+    EXPECT_EQ(loaded[i].pipelined, records[i].pipelined);
+    EXPECT_GT(loaded[i].launches, 0u);
+    EXPECT_EQ(loaded[i].launches, records[i].launches);
+    EXPECT_EQ(loaded[i].sim_seconds, records[i].sim_seconds);
+    EXPECT_EQ(loaded[i].u.sum, records[i].u.sum);
+  }
+  EXPECT_TRUE(loaded[0].fused);
+  EXPECT_FALSE(loaded[1].fused);
+  EXPECT_TRUE(loaded[2].pipelined);
+  // Port records never stand in for a reference baseline.
+  EXPECT_EQ(verify::find_golden(loaded, core::SolverKind::kCg, 24, 1), nullptr);
+  std::remove(path.c_str());
+}
+
 TEST(Golden, MalformedFilesThrow) {
   const std::string path = temp_path("golden_malformed.csv");
   {

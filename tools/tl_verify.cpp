@@ -3,7 +3,7 @@
 //   tl_verify [--nx 40] [--steps 1] [--seed 7] [--ranks R]
 //             [--overlap on|off] [--pipelined]
 //             [--solver cg|cheby|ppcg|jacobi|all]
-//             [--model ID] [--device cpu|gpu|knc]
+//             [--model ID|all] [--device cpu|gpu|knc|all]
 //             [--golden FILE] [--regen-golden FILE]
 //             [--json[=FILE]] [--perturb KERNEL] [--no-replay]
 //
@@ -12,7 +12,9 @@
 // optionally emits the machine-readable JSON report for CI, and exits
 // nonzero on any divergence. `--golden FILE` additionally pins the reference
 // kernels themselves to the committed baselines; `--regen-golden FILE`
-// rewrites the baselines (a deliberate, reviewed act — see DESIGN.md §7).
+// rewrites the baselines (a deliberate, reviewed act — see DESIGN.md §7):
+// the reference records, or, when --model or --device is given (`all`
+// selects every one), the keyed per-port records of verify/golden/ports.csv.
 // `--perturb KERNEL` corrupts one reference kernel to prove the checker
 // fails when it should; the special targets `halo_payload` and `allreduce`
 // (with --ranks > 1) instead corrupt the distributed cells' communication in
@@ -106,7 +108,8 @@ int main(int argc, char** argv) {
                  cli.get_or("solver", "").c_str());
     return 2;
   }
-  if (const auto model = cli.get("model")) {
+  const auto model = cli.get("model");
+  if (model && *model != "all") {
     const auto parsed = sim::parse_model(*model);
     if (!parsed) {
       std::fprintf(stderr, "tl_verify: unknown --model '%s'\n", model->c_str());
@@ -114,7 +117,8 @@ int main(int argc, char** argv) {
     }
     opt.only_model = *parsed;
   }
-  if (const auto device = cli.get("device")) {
+  const auto device = cli.get("device");
+  if (device && *device != "all") {
     const auto parsed = sim::parse_device(*device);
     if (!parsed) {
       std::fprintf(stderr, "tl_verify: unknown --device '%s'\n",
@@ -127,6 +131,15 @@ int main(int argc, char** argv) {
   // Baseline regeneration is its own mode: write and exit.
   if (const auto regen = cli.get("regen-golden")) {
     std::vector<verify::GoldenRecord> records;
+    if (model || device) {
+      records = verify::compute_port_records(opt.solvers, opt.nx, opt.steps,
+                                             opt.seed, opt.only_model,
+                                             opt.only_device);
+      verify::save_golden(*regen, records);
+      std::printf("port golden baselines written to %s (%zu records)\n",
+                  regen->c_str(), records.size());
+      return 0;
+    }
     for (const core::SolverKind solver : opt.solvers) {
       records.push_back(
           verify::compute_reference_record(solver, opt.nx, opt.steps));
