@@ -89,6 +89,7 @@ inline constexpr Region kEdgeRegions[4] = {Region::kSouth, Region::kNorth,
 struct RegionBounds {
   int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
   bool empty() const noexcept { return x0 >= x1 || y0 >= y1; }
+  bool operator==(const RegionBounds&) const = default;
 };
 RegionBounds region_bounds(Region region, int halo_depth, int nx, int ny);
 

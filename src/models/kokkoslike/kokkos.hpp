@@ -122,17 +122,6 @@ class Context {
     });
   }
 
-  /// Sum reduction (Kokkos' zero-initialised default).
-  template <typename Functor>
-  void parallel_reduce(const tl::sim::LaunchInfo& info, RangePolicy policy,
-                       Functor&& f, double& result) {
-    double acc = 0.0;
-    launcher_.run(info, [&] {
-      for (std::int64_t i = policy.begin; i < policy.end; ++i) f(i, acc);
-    });
-    result = acc;
-  }
-
   /// Custom reduction: Value must be default-constructible; the functor
   /// provides init(Value&) and join(Value&, const Value&) (paper: the one
   /// TeaLeaf kernel needing a multi-variable reduction).

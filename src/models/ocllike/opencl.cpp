@@ -1,24 +1,11 @@
 #include "models/ocllike/opencl.hpp"
 
+#include <stdexcept>
+
 namespace ocllike {
 
 Buffer::Buffer(Context& ctx, std::size_t count) : storage_(count) {
   (void)ctx;  // real OpenCL ties buffers to a context; ours share the host heap
-}
-
-Program Program::build(Context& ctx, std::map<std::string, KernelFn> kernels) {
-  (void)ctx;
-  Program p;
-  p.kernels_ = std::move(kernels);
-  return p;
-}
-
-const KernelFn& Program::kernel_fn(const std::string& name) const {
-  const auto it = kernels_.find(name);
-  if (it == kernels_.end()) {
-    throw std::invalid_argument("ocllike: unknown kernel '" + name + "'");
-  }
-  return it->second;
 }
 
 std::vector<PlatformDevice> get_platform_devices() {
@@ -29,30 +16,11 @@ std::vector<PlatformDevice> get_platform_devices() {
   return out;
 }
 
-void CommandQueue::enqueue_nd_range(Kernel& kernel,
-                                    const tl::sim::LaunchInfo& info,
-                                    std::size_t global, std::size_t local) {
+void CommandQueue::check_nd_range(std::size_t global, std::size_t local) {
   if (local == 0 || global % local != 0) {
     throw std::invalid_argument(
         "ocllike: global size must be a positive multiple of local size");
   }
-  ctx_->launcher().run(info, [&] {
-    local_mem_.assign(local, 0.0);
-    const std::size_t groups = global / local;
-    NDItem item;
-    item.local_size = local;
-    item.global_size = global;
-    item.local_mem = std::span<double>(local_mem_);
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::fill(local_mem_.begin(), local_mem_.end(), 0.0);
-      item.group_id = g;
-      for (std::size_t l = 0; l < local; ++l) {
-        item.local_id = l;
-        item.global_id = g * local + l;
-        (*kernel.fn_)(item, kernel.args_);
-      }
-    }
-  });
 }
 
 void CommandQueue::enqueue_write(Buffer& dst, std::span<const double> src) {

@@ -5,24 +5,19 @@
 // Reproduced concepts (paper section 2.5): the platform model (platform ->
 // device -> compute units), explicit contexts, command queues, device
 // buffers that host code cannot touch directly (enqueueRead/WriteBuffer
-// only), programs containing named kernels, per-kernel argument binding with
-// setArg, and NDRange execution in work groups with work-group reductions
-// through local memory. The boilerplate is the point: the paper's complexity
-// finding for OpenCL rests on exactly these steps existing.
+// only), and NDRange execution in work groups with per-group local memory
+// for work-group reductions. A kernel is any callable taking the work item's
+// NDItem; it is enqueued with its global and local sizes.
 //
 // Emulation note: work items of a group execute sequentially in-order, so
 // work-group barriers are correct as no-ops; kernels follow the convention
 // that the *last* work item of a group performs the group-level finish
 // (where real OpenCL would barrier and use item 0).
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "models/launcher.hpp"
@@ -65,42 +60,6 @@ struct NDItem {
   std::span<double> local_mem;
 };
 
-using KernelArg = std::variant<Buffer*, double, std::int64_t>;
-
-/// Kernel "source": a host function executed once per work item.
-using KernelFn = std::function<void(const NDItem&, const std::vector<KernelArg>&)>;
-
-/// Compiled program: a named collection of kernels (clBuildProgram analogue).
-class Program {
- public:
-  static Program build(Context& ctx, std::map<std::string, KernelFn> kernels);
-
-  const KernelFn& kernel_fn(const std::string& name) const;
-
- private:
-  std::map<std::string, KernelFn> kernels_;
-};
-
-class Kernel {
- public:
-  Kernel(const Program& program, std::string name)
-      : fn_(&program.kernel_fn(name)), name_(std::move(name)) {}
-
-  /// clSetKernelArg analogue; args may be rebound between enqueues.
-  void set_arg(std::size_t index, KernelArg arg) {
-    if (args_.size() <= index) args_.resize(index + 1);
-    args_[index] = arg;
-  }
-
-  const std::string& name() const noexcept { return name_; }
-
- private:
-  friend class CommandQueue;
-  const KernelFn* fn_;
-  std::string name_;
-  std::vector<KernelArg> args_;
-};
-
 /// Platform/device discovery boilerplate. Platforms mirror the simulated
 /// device catalogue.
 struct PlatformDevice {
@@ -126,18 +85,38 @@ class CommandQueue {
  public:
   explicit CommandQueue(Context& ctx) : ctx_(&ctx) {}
 
-  /// clEnqueueNDRangeKernel analogue. `global` must be a multiple of
-  /// `local`. The LaunchInfo carries the metered cost of this enqueue.
-  void enqueue_nd_range(Kernel& kernel, const tl::sim::LaunchInfo& info,
-                        std::size_t global, std::size_t local);
+  /// clEnqueueNDRangeKernel analogue: runs `kernel(item)` for every work
+  /// item, group by group. `global` must be a positive multiple of `local`.
+  /// The LaunchInfo carries the metered cost of this enqueue.
+  template <typename KernelFn>
+  void enqueue_nd_range(const tl::sim::LaunchInfo& info, std::size_t global,
+                        std::size_t local, KernelFn&& kernel) {
+    check_nd_range(global, local);
+    ctx_->launcher().run(info, [&] {
+      local_mem_.assign(local, 0.0);
+      NDItem item;
+      item.local_size = local;
+      item.global_size = global;
+      item.local_mem = std::span<double>(local_mem_);
+      for (std::size_t g = 0; g < global / local; ++g) {
+        std::fill(local_mem_.begin(), local_mem_.end(), 0.0);
+        item.group_id = g;
+        for (std::size_t l = 0; l < local; ++l) {
+          item.local_id = l;
+          item.global_id = g * local + l;
+          kernel(item);
+        }
+      }
+    });
+  }
 
+  /// In-order emulation: every enqueue completes before it returns.
   void enqueue_write(Buffer& dst, std::span<const double> src);
   void enqueue_read(const Buffer& src, std::span<double> dst);
 
-  /// In-order emulation: every enqueue completes eagerly.
-  void finish() {}
-
  private:
+  static void check_nd_range(std::size_t global, std::size_t local);
+
   Context* ctx_;
   std::vector<double> local_mem_;
 };

@@ -7,12 +7,13 @@
 //     scope's lifetime so multiple target regions reuse resident data;
 //   - `map(to/from/tofrom/alloc)` direction semantics with transfer charging
 //     at scope entry/exit;
-//   - `update to/from`: explicit mid-scope consistency;
+//   - `update from`: explicit mid-scope consistency for results;
 //   - per-region synchronous launch overhead — the paper's observed
 //     "overhead dependent upon the number of target invocations", which the
 //     OpenMP 4.5 `nowait` directive was expected to hide (modelled by the
 //     fuse_regions knob used in the ablation bench);
-//   - reductions through the directive reduction clause.
+//   - `collapse(2)` loop nests over the padded field's rows and columns, with
+//     reductions through the directive reduction clause.
 
 #include <cstdint>
 #include <span>
@@ -46,18 +47,13 @@ class Runtime {
         offloads_(tl::sim::uses_device_residency(model, device)) {}
 
   models::Launcher& launcher() noexcept { return launcher_; }
-  bool offloads() const noexcept { return offloads_; }
 
   /// Is this host array currently mapped on the device?
   bool is_present(const void* host_ptr) const {
     return resident_.count(host_ptr) != 0;
   }
 
-  /// Explicit consistency (omp target update / acc update).
-  void update_to(const void* host_ptr, std::size_t bytes) {
-    require_present(host_ptr);
-    charge_transfer(bytes, true);
-  }
+  /// Explicit consistency (omp target update from / acc update host).
   void update_from(const void* host_ptr, std::size_t bytes) {
     require_present(host_ptr);
     charge_transfer(bytes, false);
@@ -132,47 +128,68 @@ class DataScope {
   std::vector<MapSpec> maps_;
 };
 
+/// The iteration space of a `collapse(2)` loop nest: rows [y0, y1) outer,
+/// columns [x0, x1) inner.
+struct Collapse2 {
+  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+};
+
+/// One target region running `body(x, y)` over the collapsed nest.
+template <typename Body>
+void collapsed_region(Runtime& rt, const tl::sim::LaunchInfo& info,
+                      const Collapse2& nest, Body&& body) {
+  rt.target_region(info, [&] {
+    for (std::int64_t y = nest.y0; y < nest.y1; ++y) {
+      for (std::int64_t x = nest.x0; x < nest.x1; ++x) body(x, y);
+    }
+  });
+}
+
+/// Same with a `reduction(+: result)` clause: `body(x, y, acc)`.
+template <typename Body>
+double collapsed_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
+                        const Collapse2& nest, Body&& body) {
+  double acc = 0.0;
+  collapsed_region(rt, info, nest,
+                   [&](std::int64_t x, std::int64_t y) { body(x, y, acc); });
+  return acc;
+}
+
 }  // namespace offload
 
 // ---------------------------------------------------------------------------
 // OpenMP 4.0 front-end: #pragma omp target teams distribute parallel for
+//                       collapse(2) [reduction(+: acc)]
 // ---------------------------------------------------------------------------
 namespace omp4 {
 
+using offload::Collapse2;
 using offload::DataScope;
 using offload::MapDir;
 using offload::MapSpec;
 using offload::Runtime;
 
-/// `#pragma omp target teams distribute parallel for collapse(2)` over the
-/// interior cells; the body receives the flat cell index.
 template <typename Body>
 void target_parallel_for(Runtime& rt, const tl::sim::LaunchInfo& info,
-                         std::int64_t begin, std::int64_t end, Body&& body) {
-  rt.target_region(info, [&] {
-    for (std::int64_t i = begin; i < end; ++i) body(i);
-  });
+                         const Collapse2& nest, Body&& body) {
+  offload::collapsed_region(rt, info, nest, std::forward<Body>(body));
 }
 
-/// Same with a `reduction(+: result)` clause.
 template <typename Body>
 double target_parallel_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
-                              std::int64_t begin, std::int64_t end,
-                              Body&& body) {
-  double acc = 0.0;
-  rt.target_region(info, [&] {
-    for (std::int64_t i = begin; i < end; ++i) body(i, acc);
-  });
-  return acc;
+                              const Collapse2& nest, Body&& body) {
+  return offload::collapsed_reduce(rt, info, nest, std::forward<Body>(body));
 }
 
 }  // namespace omp4
 
 // ---------------------------------------------------------------------------
 // OpenACC front-end: #pragma acc kernels loop independent collapse(2)
+//                    [reduction(+: acc)]
 // ---------------------------------------------------------------------------
 namespace acc {
 
+using offload::Collapse2;
 using offload::DataScope;
 using offload::MapDir;
 using offload::MapSpec;
@@ -180,20 +197,14 @@ using offload::Runtime;
 
 template <typename Body>
 void kernels_loop(Runtime& rt, const tl::sim::LaunchInfo& info,
-                  std::int64_t begin, std::int64_t end, Body&& body) {
-  rt.target_region(info, [&] {
-    for (std::int64_t i = begin; i < end; ++i) body(i);
-  });
+                  const Collapse2& nest, Body&& body) {
+  offload::collapsed_region(rt, info, nest, std::forward<Body>(body));
 }
 
 template <typename Body>
 double kernels_loop_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
-                           std::int64_t begin, std::int64_t end, Body&& body) {
-  double acc = 0.0;
-  rt.target_region(info, [&] {
-    for (std::int64_t i = begin; i < end; ++i) body(i, acc);
-  });
-  return acc;
+                           const Collapse2& nest, Body&& body) {
+  return offload::collapsed_reduce(rt, info, nest, std::forward<Body>(body));
 }
 
 }  // namespace acc

@@ -3,12 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "ports/port_cuda.hpp"
-#include "ports/port_kokkos.hpp"
-#include "ports/port_offload.hpp"
-#include "ports/port_omp3.hpp"
-#include "ports/port_opencl.hpp"
-#include "ports/port_raja.hpp"
+#include "ports/port.hpp"
 
 namespace tl::ports {
 
@@ -30,22 +25,28 @@ std::unique_ptr<core::SolverKernels> make_port(sim::Model model,
   switch (model) {
     case sim::Model::kFortran:
     case sim::Model::kOmp3Cpp:
-      return std::make_unique<Omp3Port>(model, device, mesh, run_seed,
-                                        host_threads);
+      return std::make_unique<RegionPort<HostRowsPolicy>>(
+          model, device, mesh, run_seed, host_threads);
     case sim::Model::kOmp4:
     case sim::Model::kOpenAcc:
-      return std::make_unique<OffloadPort>(model, device, mesh, run_seed);
+      return std::make_unique<Port<OffloadPolicy>>(model, device, mesh,
+                                                   run_seed, host_threads);
     case sim::Model::kKokkos:
-      return std::make_unique<KokkosPort>(model, device, mesh, run_seed);
+      return std::make_unique<Port<KokkosFlatPolicy>>(model, device, mesh,
+                                                      run_seed, host_threads);
     case sim::Model::kKokkosHp:
-      return std::make_unique<KokkosHpPort>(device, mesh, run_seed);
+      return std::make_unique<Port<KokkosTeamPolicy>>(model, device, mesh,
+                                                      run_seed, host_threads);
     case sim::Model::kRaja:
     case sim::Model::kRajaSimd:
-      return std::make_unique<RajaPort>(model, device, mesh, run_seed);
+      return std::make_unique<Port<RajaPolicy>>(model, device, mesh, run_seed,
+                                                host_threads);
     case sim::Model::kOpenCl:
-      return std::make_unique<OpenClPort>(device, mesh, run_seed);
+      return std::make_unique<Port<OpenClPolicy>>(model, device, mesh,
+                                                  run_seed, host_threads);
     case sim::Model::kCuda:
-      return std::make_unique<CudaPort>(device, mesh, run_seed);
+      return std::make_unique<Port<CudaPolicy>>(model, device, mesh, run_seed,
+                                                host_threads);
   }
   throw std::invalid_argument("make_port: unknown model");
 }

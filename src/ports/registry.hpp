@@ -13,6 +13,9 @@
 namespace tl::ports {
 
 /// Creates the TeaLeaf port for `model` targeting simulated `device`.
+/// `host_threads` is the HostPool width of the OpenMP 3.0 ports (fortran,
+/// omp3), whose results are bit-identical at any width; every other model
+/// runs its kernels on the calling thread and ignores it.
 /// Throws std::invalid_argument for unsupported pairs (Table 1).
 std::unique_ptr<core::SolverKernels> make_port(sim::Model model,
                                                sim::DeviceId device,

@@ -25,7 +25,8 @@ namespace tl::service {
 /// that rank unobserved). Rank 0 doubles as the single-chunk sink.
 struct ScenarioHooks {
   std::function<sim::TraceSink*(int rank)> sink_for_rank;
-  /// Host threads each rank's port runs with (HostPool width).
+  /// HostPool width of each rank's port. Only the OpenMP 3.0 ports
+  /// (fortran/omp3) run on the pool; every other port ignores it.
   unsigned host_threads = 1;
   /// Precomputed decomposition for this scenario's (nx, ny, nranks) — a
   /// Session's cache hands it in so repeated shapes skip the grid

@@ -57,7 +57,8 @@ struct ServiceConfig {
   std::size_t batch_max = 8;          // small-lane tenant-pure batch limit
   int large_cells_threshold = 96 * 96;  // nx*ny at or above => large lane
                                         // (planner-off and fallback routing)
-  unsigned host_threads = 1;          // HostPool width per rank port
+  unsigned host_threads = 1;          // HostPool width per rank port; only
+                                      // the fortran/omp3 ports read it
   PlannerOptions planner;             // off by default
 
   void validate() const;  // throws std::invalid_argument on nonsense

@@ -26,7 +26,9 @@
 namespace tl::service {
 
 struct SessionConfig {
-  unsigned host_threads = 1;  // HostPool width of every port this session runs
+  // HostPool width of the OpenMP 3.0 (fortran/omp3) ports this session runs;
+  // every other port runs its kernels on the calling thread and ignores it.
+  unsigned host_threads = 1;
 };
 
 class Session {

@@ -126,21 +126,23 @@ std::vector<GoldenRecord> compute_port_records(
 
 void save_golden(const std::string& path,
                  const std::vector<GoldenRecord>& records) {
-  const bool ports = std::any_of(records.begin(), records.end(),
+  const bool keyed = std::any_of(records.begin(), records.end(),
                                  [](const GoldenRecord& r) {
                                    return !r.model.empty();
                                  });
   std::vector<std::string> header;
-  if (ports) header.assign(std::begin(kPortKeyColumns), std::end(kPortKeyColumns));
+  if (keyed) {
+    header.assign(std::begin(kPortKeyColumns), std::end(kPortKeyColumns));
+  }
   header.insert(header.end(), std::begin(kColumns), std::end(kColumns));
-  if (ports) {
+  if (keyed) {
     header.insert(header.end(), std::begin(kPortCostColumns),
                   std::end(kPortCostColumns));
   }
   util::CsvWriter csv(path, header);
   for (const GoldenRecord& r : records) {
     std::vector<std::string> row;
-    if (ports) {
+    if (keyed) {
       row = {r.model, r.device, r.fused ? "1" : "0", r.pipelined ? "1" : "0"};
     }
     const std::vector<std::string> base = {
@@ -152,7 +154,7 @@ void save_golden(const std::string& path,
         fmt(r.u.max), fmt(r.energy.sum), fmt(r.energy.l2), fmt(r.energy.min),
         fmt(r.energy.max)};
     row.insert(row.end(), base.begin(), base.end());
-    if (ports) {
+    if (keyed) {
       row.push_back(util::strf("%llu",
                                static_cast<unsigned long long>(r.launches)));
       row.push_back(fmt(r.sim_seconds));
@@ -171,10 +173,10 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
   // The header names the layout: reference baselines carry kColumns only,
   // port baselines add the key and cost columns around them.
   const std::vector<std::string> header = util::parse_csv_line(line);
-  const bool ports = !header.empty() && header.front() == kPortKeyColumns[0];
+  const bool keyed = !header.empty() && header.front() == kPortKeyColumns[0];
   const std::size_t fields =
       std::size(kColumns) +
-      (ports ? std::size(kPortKeyColumns) + std::size(kPortCostColumns) : 0);
+      (keyed ? std::size(kPortKeyColumns) + std::size(kPortCostColumns) : 0);
   std::vector<GoldenRecord> records;
   while (std::getline(in, line)) {
     if (line.empty() || line == "\r") continue;
@@ -187,7 +189,7 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
     try {
       GoldenRecord r;
       std::size_t i = 0;
-      if (ports) {
+      if (keyed) {
         r.model = cells[i++];
         r.device = cells[i++];
         r.fused = cells[i++] == "1";
@@ -212,7 +214,7 @@ std::vector<GoldenRecord> load_golden(const std::string& path) {
       r.energy.l2 = std::stod(cells[i++]);
       r.energy.min = std::stod(cells[i++]);
       r.energy.max = std::stod(cells[i++]);
-      if (ports) {
+      if (keyed) {
         r.launches = std::stoull(cells[i++]);
         r.sim_seconds = std::stod(cells[i++]);
       }

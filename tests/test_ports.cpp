@@ -14,6 +14,7 @@
 #include "core/state_init.hpp"
 #include "ports/registry.hpp"
 #include "util/stats.hpp"
+#include "verify/golden.hpp"
 
 using namespace tl;
 using core::FieldId;
@@ -322,19 +323,41 @@ TEST(PortBehaviour, DeviceTunedPortsLeadTheirDevices) {
 }
 
 TEST(PortBehaviour, HostThreadCountDoesNotChangeResults) {
-  // The OpenMP-style port is numerically deterministic across pool sizes
-  // (chunk-ordered reductions).
-  const Settings s = small_problem(SolverKind::kCg, 32);
-  const core::Mesh mesh(s.nx, s.ny, s.halo_depth);
-  core::Driver serial(s, ports::make_port(sim::Model::kOmp3Cpp,
-                                          sim::DeviceId::kCpuSandyBridge, mesh,
-                                          1, /*host_threads=*/1));
-  core::Driver threaded(s, ports::make_port(sim::Model::kOmp3Cpp,
-                                            sim::DeviceId::kCpuSandyBridge,
-                                            mesh, 1, /*host_threads=*/4));
-  const auto a = serial.run();
-  const auto b = threaded.run();
-  EXPECT_EQ(a.steps[0].solve.iterations, b.steps[0].solve.iterations);
-  EXPECT_NEAR(a.steps[0].summary.temperature, b.steps[0].summary.temperature,
-              std::abs(a.steps[0].summary.temperature) * 1e-12);
+  // The HostPool policy's reductions are chunk-ordered and row-ordered by
+  // construction, so the pool width cannot change a single bit: control
+  // flow, residual history, physics summary and field checksums all match
+  // exactly. 130 rows make the pool chunks two rows deep.
+  for (const auto model : {sim::Model::kOmp3Cpp, sim::Model::kFortran}) {
+    for (const auto solver : {SolverKind::kCg, SolverKind::kPpcg}) {
+      const Settings s = small_problem(solver, 130);
+      const core::Mesh mesh(s.nx, s.ny, s.halo_depth);
+      auto run = [&](unsigned threads) {
+        core::Driver driver(
+            s, ports::make_port(model, sim::DeviceId::kCpuSandyBridge, mesh, 1,
+                                threads));
+        const core::RunReport report = driver.run();
+        return std::make_pair(report, verify::condense_run(driver, report));
+      };
+      const auto [a, ra] = run(1);
+      const auto [b, rb] = run(4);
+      SCOPED_TRACE(std::string(sim::model_id(model)) + " " +
+                   std::string(core::solver_name(solver)));
+      EXPECT_EQ(a.steps[0].solve.iterations, b.steps[0].solve.iterations);
+      EXPECT_EQ(a.steps[0].solve.inner_iterations,
+                b.steps[0].solve.inner_iterations);
+      EXPECT_EQ(a.steps[0].solve.rr_history, b.steps[0].solve.rr_history);
+      EXPECT_EQ(ra.volume, rb.volume);
+      EXPECT_EQ(ra.mass, rb.mass);
+      EXPECT_EQ(ra.internal_energy, rb.internal_energy);
+      EXPECT_EQ(ra.temperature, rb.temperature);
+      EXPECT_EQ(ra.u.sum, rb.u.sum);
+      EXPECT_EQ(ra.u.l2, rb.u.l2);
+      EXPECT_EQ(ra.u.min, rb.u.min);
+      EXPECT_EQ(ra.u.max, rb.u.max);
+      EXPECT_EQ(ra.energy.sum, rb.energy.sum);
+      EXPECT_EQ(ra.energy.l2, rb.energy.l2);
+      EXPECT_EQ(ra.energy.min, rb.energy.min);
+      EXPECT_EQ(ra.energy.max, rb.energy.max);
+    }
+  }
 }
