@@ -34,6 +34,16 @@ run_leg() { # run_leg <preset> <cc> <cxx>
   [ "$preset" = "asan" ] && ctest_args+=(-LE golden)
   (cd "$build_dir" && ctest "${ctest_args[@]}")
 
+  if [ "$preset" = "release" ]; then
+    note "benchmark self-tests: wallbench_tests (${preset} / ${cc})"
+    # wallbench/ is its own CMake project over the same sources; its tests
+    # pin timing-decorator transparency and every port's caps() at 1 and 2
+    # ranks, so a port or interface change fails here, not in a bench run.
+    CC=$cc CXX=$cxx cmake -S wallbench -B "build-wallbench-${cc}" >/dev/null
+    cmake --build "build-wallbench-${cc}" --target wallbench_tests -j "$(nproc)"
+    "./build-wallbench-${cc}/wallbench_tests"
+  fi
+
   note "conformance: tl_verify (${preset} / ${cc})"
   "./$build_dir/tools/tl_verify" \
     --golden verify/golden/reference.csv \

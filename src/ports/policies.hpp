@@ -133,6 +133,9 @@ class PolicyBase {
         padded_(mesh.padded_cells()) {}
 
   std::size_t padded_bytes() const { return padded_ * sizeof(double); }
+  util::Span2D<double> padded_span(double* data) const {
+    return {data, static_cast<int>(width_), static_cast<int>(height_)};
+  }
 
   std::int64_t width_, height_;
   std::size_t padded_;
@@ -273,7 +276,9 @@ class HostRowsPolicy : public HostFields {
   void fold_rows(const Box& b, Lanes& out) const {
     const auto rows = static_cast<std::size_t>(b.y1 - b.y0);
     for (std::size_t k = 1; k < out.size(); ++k) {
-      for (std::size_t r = 0; r < rows; ++r) out[k] += rows_[(k - 1) * rows + r];
+      for (std::size_t r = 0; r < rows; ++r) {
+        out[k] += rows_[(k - 1) * rows + r];
+      }
     }
   }
 
@@ -397,11 +402,12 @@ class KokkosTeamPolicy : public KokkosFlatPolicy {
   template <typename Body>
   void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
     if (!team_kernel(info)) return KokkosFlatPolicy::for_each(info, b, body);
-    ctx_.parallel_for_team(info, teams(b), [&](const kokkoslike::TeamMember& t) {
-      const std::int64_t row = (b.y0 + t.league_rank()) * width_ + b.x0;
-      kokkoslike::team_thread_range(t, b.x1 - b.x0,
-                                    [&](int i) { body(row + i); });
-    });
+    ctx_.parallel_for_team(
+        info, teams(b), [&](const kokkoslike::TeamMember& t) {
+          const std::int64_t row = (b.y0 + t.league_rank()) * width_ + b.x0;
+          kokkoslike::team_thread_range(t, b.x1 - b.x0,
+                                        [&](int i) { body(row + i); });
+        });
   }
 
   template <typename Body>
@@ -487,9 +493,8 @@ class RajaPolicy : public HostFields {
   template <typename Body>
   void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
     if (b == padded_box_) {
-      ctx_.forall<Exec>(info,
-                        rajalike::RangeSegment{0, static_cast<std::int64_t>(padded_)},
-                        body);
+      const auto n = static_cast<std::int64_t>(padded_);
+      ctx_.forall<Exec>(info, rajalike::RangeSegment{0, n}, body);
     } else {
       ctx_.forall<Exec>(info, index_set(b), body);
     }
@@ -588,12 +593,14 @@ class OpenClPolicy : public PolicyBase {
                      [&](const auto& d) { return d.id == device; })) {
       throw std::invalid_argument("OpenCL port: no such device");
     }
-    for (auto& b : buffers_) b = std::make_unique<ocllike::Buffer>(ctx_, padded_);
+    for (auto& b : buffers_) {
+      b = std::make_unique<ocllike::Buffer>(ctx_, padded_);
+    }
   }
 
   models::Launcher& launcher() { return ctx_.launcher(); }
   util::Span2D<double> field(core::FieldId id) {
-    return {buf(id).data(), static_cast<int>(width_), static_cast<int>(height_)};
+    return padded_span(buf(id).data());
   }
 
   void upload(const core::Chunk& chunk) {
@@ -609,8 +616,9 @@ class OpenClPolicy : public PolicyBase {
   template <typename Body>
   void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
     GroupSweep<Body> k{BoxCursor(b, width_), box_cells(b), body};
-    queue_.enqueue_nd_range(info, group_global(k.n), kGroupSize,
-                            [&](const ocllike::NDItem& it) { k.item(it.global_id); });
+    queue_.enqueue_nd_range(
+        info, group_global(k.n), kGroupSize,
+        [&](const ocllike::NDItem& it) { k.item(it.global_id); });
   }
 
   template <typename Body>
@@ -632,7 +640,8 @@ class OpenClPolicy : public PolicyBase {
 
   ocllike::Context ctx_;
   ocllike::CommandQueue queue_;
-  std::array<std::unique_ptr<ocllike::Buffer>, core::kAllFields.size()> buffers_;
+  std::array<std::unique_ptr<ocllike::Buffer>, core::kAllFields.size()>
+      buffers_;
 };
 
 /// CUDA: device buffers moved by cudaMemcpy, and a grid of 256-thread blocks
@@ -642,12 +651,14 @@ class CudaPolicy : public PolicyBase {
   CudaPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
              std::uint64_t run_seed, unsigned)
       : PolicyBase(mesh), rt_(model, device, run_seed) {
-    for (auto& b : buffers_) b = std::make_unique<culike::DeviceBuffer>(padded_);
+    for (auto& b : buffers_) {
+      b = std::make_unique<culike::DeviceBuffer>(padded_);
+    }
   }
 
   models::Launcher& launcher() { return rt_.launcher(); }
   util::Span2D<double> field(core::FieldId id) {
-    return {buf(id).data(), static_cast<int>(width_), static_cast<int>(height_)};
+    return padded_span(buf(id).data());
   }
 
   void upload(const core::Chunk& chunk) {

@@ -87,9 +87,12 @@ class Port : public core::SolverKernels {
 
   void halo_update(unsigned fields, int depth) override {
     static constexpr std::pair<unsigned, FieldId> kOrder[] = {
-        {core::kMaskU, FieldId::kU},        {core::kMaskP, FieldId::kP},
-        {core::kMaskSd, FieldId::kSd},      {core::kMaskR, FieldId::kR},
-        {core::kMaskW, FieldId::kW},        {core::kMaskDensity, FieldId::kDensity},
+        {core::kMaskU, FieldId::kU},
+        {core::kMaskP, FieldId::kP},
+        {core::kMaskSd, FieldId::kSd},
+        {core::kMaskR, FieldId::kR},
+        {core::kMaskW, FieldId::kW},
+        {core::kMaskDensity, FieldId::kDensity},
         {core::kMaskEnergy0, FieldId::kEnergy0}};
     const sim::LaunchInfo halo = core::make_halo_info(
         model_, mesh_.nx, mesh_.ny, core::mask_field_count(fields), depth);
@@ -167,12 +170,13 @@ class Port : public core::SolverKernels {
     const double* p = f(FieldId::kP);
     double* r = f(FieldId::kR);
     const double* w = f(FieldId::kW);
-    return p_.reduce(info(KernelId::kCgCalcUr), interior(), [=](std::int64_t i) {
-      u[i] += alpha * p[i];
-      const double res = r[i] - alpha * w[i];
-      r[i] = res;
-      return Lanes<1>{res * res};
-    })[0];
+    return p_.reduce(info(KernelId::kCgCalcUr), interior(),
+                     [=](std::int64_t i) {
+                       u[i] += alpha * p[i];
+                       const double res = r[i] - alpha * w[i];
+                       r[i] = res;
+                       return Lanes<1>{res * res};
+                     })[0];
   }
 
   void cg_calc_p(double beta) override {

@@ -93,7 +93,9 @@ std::vector<GoldenRecord> compute_port_records(
     variants.push_back({solver, false, false});
   }
   for (const core::SolverKind solver : solvers) {
-    if (solver == core::SolverKind::kCg) variants.push_back({solver, true, true});
+    if (solver == core::SolverKind::kCg) {
+      variants.push_back({solver, true, true});
+    }
   }
 
   std::vector<GoldenRecord> records;
