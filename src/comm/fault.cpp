@@ -1,6 +1,7 @@
 #include "comm/fault.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "util/string_util.hpp"
@@ -30,139 +31,144 @@ double FaultyComm::uniform(int dest, int tag, int attempt, int salt) const {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-void FaultyComm::faulty_send(const WireOut& out, int attempt,
-                             std::uint64_t poll) {
+bool FaultyComm::faulty_send(const WireOut& out, int attempt,
+                             std::vector<double>& wire) {
   ++stats_.data_sends;
   const bool hard_fail = spec_.epoch == 0 &&
                          comm_.rank() == spec_.hard_fail_rank &&
                          step_ == spec_.hard_fail_step;
-  if (hard_fail || uniform(out.dest, out.tag, attempt, 0) < spec_.drop) {
-    ++stats_.dropped;
-    return;
+  const bool dropped =
+      hard_fail || uniform(out.dest, out.tag, attempt, 0) < spec_.drop;
+  const bool delayed =
+      !dropped && uniform(out.dest, out.tag, attempt, 1) < spec_.delay;
+  if (dropped) ++stats_.dropped;
+  if (delayed) ++stats_.delayed;
+  if (dropped || delayed) {
+    // Loss notice in the attempt's place: the header alone is meaningful.
+    wire[0] = -static_cast<double>(attempt);
+    comm_.send(wire, out.dest, out.tag);
+    return delayed;
   }
-  if (uniform(out.dest, out.tag, attempt, 1) < spec_.delay) {
-    ++stats_.delayed;
-    Delayed d;
-    d.due_poll = poll + static_cast<std::uint64_t>(
-                            std::max(1, spec_.resend_polls / 2));
-    d.dest = out.dest;
-    d.tag = out.tag;
-    d.payload.assign(out.data.begin(), out.data.end());
-    delayed_.push_back(std::move(d));
-    return;
-  }
-  comm_.send(out.data, out.dest, out.tag);
+  wire[0] = static_cast<double>(attempt);
+  std::copy(out.data.begin(), out.data.end(), wire.begin() + 1);
+  comm_.send(wire, out.dest, out.tag);
   if (uniform(out.dest, out.tag, attempt, 2) < spec_.duplicate) {
     ++stats_.duplicated;
-    comm_.send(out.data, out.dest, out.tag);
+    comm_.send(wire, out.dest, out.tag);
   }
-}
-
-bool FaultyComm::flush_due(std::uint64_t poll) {
-  bool any = false;
-  for (std::size_t i = 0; i < delayed_.size();) {
-    if (delayed_[i].due_poll <= poll) {
-      comm_.send(delayed_[i].payload, delayed_[i].dest, delayed_[i].tag);
-      delayed_[i] = std::move(delayed_.back());
-      delayed_.pop_back();
-      any = true;
-    } else {
-      ++i;
-    }
-  }
-  return any;
+  return false;
 }
 
 void FaultyComm::exchange(std::span<const WireOut> outs,
                           std::span<const WireIn> ins) {
+  // ACK/NACK payload: kAck, or the attempt number the receiver found lost.
+  constexpr double kAck = 0.0;
   struct OutState {
     int attempt = 1;
-    std::uint64_t next_resend = 0;
+    bool owes_late_copy = false;  // current attempt was delayed
     bool acked = false;
+    std::vector<double> wire;     // header slot + payload
   };
   std::vector<OutState> ostate(outs.size());
   std::vector<char> got(ins.size(), 0);
-  delayed_.clear();
 
   std::size_t scratch_len = 0;
   for (const WireIn& in : ins) scratch_len = std::max(scratch_len, in.data.size());
-  std::vector<double> dup_scratch(scratch_len);
-  const double ack_payload = 1.0;
-  double ack_buf = 0.0;
+  std::vector<double> in_wire(scratch_len + 1);
+  double ctl = 0.0;
 
-  std::uint64_t poll = 0;
+  const auto reply = [&](const WireIn& in, double value) {
+    if (value == kAck) ++stats_.acks_sent;
+    comm_.send(std::span<const double>(&value, 1), in.source,
+               in.tag + kAckTagOffset);
+  };
+
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    faulty_send(outs[i], 1, poll);
-    ostate[i].next_resend = static_cast<std::uint64_t>(spec_.resend_polls);
+    ostate[i].wire.assign(outs[i].data.size() + 1, 0.0);
+    ostate[i].owes_late_copy = faulty_send(outs[i], 1, ostate[i].wire);
   }
 
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = std::chrono::milliseconds(spec_.peer_deadline_ms);
+  auto last_heard = Clock::now();
   std::size_t remaining = outs.size() + ins.size();
   while (remaining > 0) {
-    bool progress = flush_due(poll);
+    bool progress = false;
 
     for (std::size_t j = 0; j < ins.size(); ++j) {
       const WireIn& in = ins[j];
-      if (got[j] == 0) {
-        if (comm_.try_recv(in.data, in.source, in.tag)) {
+      std::span<double> wire(in_wire.data(), in.data.size() + 1);
+      // Messages on one (source, tag) arrive in send order, so the receiver
+      // sees each attempt's delivery or loss notice in attempt order.
+      while (comm_.try_recv(wire, in.source, in.tag)) {
+        progress = true;
+        if (got[j] != 0) continue;  // duplicate or late copy: absorb
+        if (wire[0] > 0.0) {
+          std::copy(wire.begin() + 1, wire.end(), in.data.begin());
           got[j] = 1;
           --remaining;
-          progress = true;
-          ++stats_.acks_sent;
-          comm_.send(std::span<const double>(&ack_payload, 1), in.source,
-                     in.tag + kAckTagOffset);
-        }
-      } else {
-        // Absorb duplicate arrivals, re-ACKing each in case the sender
-        // retransmitted before our first ACK landed.
-        std::span<double> scratch(dup_scratch.data(), in.data.size());
-        while (comm_.try_recv(scratch, in.source, in.tag)) {
-          progress = true;
-          ++stats_.acks_sent;
-          comm_.send(std::span<const double>(&ack_payload, 1), in.source,
-                     in.tag + kAckTagOffset);
+          reply(in, kAck);
+        } else {
+          reply(in, -wire[0]);  // NACK the lost attempt
         }
       }
     }
 
     for (std::size_t i = 0; i < outs.size(); ++i) {
-      if (ostate[i].acked) continue;
-      if (comm_.try_recv(std::span<double>(&ack_buf, 1), outs[i].dest,
-                         outs[i].tag + kAckTagOffset)) {
-        ostate[i].acked = true;
-        --remaining;
-        progress = true;
+      OutState& st = ostate[i];
+      if (st.acked) continue;
+      if (!comm_.try_recv(std::span<double>(&ctl, 1), outs[i].dest,
+                          outs[i].tag + kAckTagOffset)) {
         continue;
       }
-      if (poll >= ostate[i].next_resend) {
-        if (ostate[i].attempt >= spec_.max_attempts) {
-          throw CommRetryExhausted(util::strf(
-              "reliable exchange: rank %d -> %d tag %d unacked after %d "
-              "attempt(s) (seed %llu, epoch %d)",
-              comm_.rank(), outs[i].dest, outs[i].tag, ostate[i].attempt,
-              static_cast<unsigned long long>(spec_.seed), spec_.epoch));
-        }
-        ++ostate[i].attempt;
-        ++stats_.retries;
-        faulty_send(outs[i], ostate[i].attempt, poll);
-        const int shift = std::min(ostate[i].attempt - 1, 6);
-        ostate[i].next_resend =
-            poll + (static_cast<std::uint64_t>(spec_.resend_polls) << shift);
+      progress = true;
+      if (ctl == kAck) {
+        st.acked = true;
+        --remaining;
+        continue;
       }
+      if (st.owes_late_copy) {
+        // The delayed payload lands after its loss was reported.
+        st.wire[0] = static_cast<double>(st.attempt);
+        std::copy(outs[i].data.begin(), outs[i].data.end(),
+                  st.wire.begin() + 1);
+        comm_.send(st.wire, outs[i].dest, outs[i].tag);
+      }
+      if (st.attempt >= spec_.max_attempts) {
+        throw CommRetryExhausted(util::strf(
+            "reliable exchange: rank %d -> %d tag %d unacked after %d "
+            "attempt(s) (seed %llu, epoch %d)",
+            comm_.rank(), outs[i].dest, outs[i].tag, st.attempt,
+            static_cast<unsigned long long>(spec_.seed), spec_.epoch));
+      }
+      ++st.attempt;
+      ++stats_.retries;
+      st.owes_late_copy = faulty_send(outs[i], st.attempt, st.wire);
     }
 
-    ++poll;
-    if (poll > static_cast<std::uint64_t>(spec_.poll_limit)) {
+    if (progress) {
+      last_heard = Clock::now();
+      continue;
+    }
+    if (const int failed = comm_.failed_rank(); failed >= 0) {
+      throw PeerFailed(util::strf(
+          "reliable exchange: rank %d abandons its exchange because rank %d "
+          "failed (seed %llu, epoch %d)",
+          comm_.rank(), failed, static_cast<unsigned long long>(spec_.seed),
+          spec_.epoch));
+    }
+    if (Clock::now() - last_heard > deadline) {
       std::size_t outs_left = 0, ins_left = 0;
-      for (const OutState& s : ostate) outs_left += s.acked ? 0 : 1;
+      for (const OutState& st : ostate) outs_left += st.acked ? 0 : 1;
       for (char g : got) ins_left += g ? 0 : 1;
       throw ReliableTimeout(util::strf(
-          "reliable exchange: rank %d poll budget %d exhausted with %zu "
+          "reliable exchange: rank %d heard from no peer for %d ms with %zu "
           "send(s) unacked and %zu recv(s) missing (seed %llu, epoch %d) — "
-          "peer dead or schedule unsurvivable",
-          comm_.rank(), spec_.poll_limit, outs_left, ins_left,
+          "peer hung or tags mismatched",
+          comm_.rank(), spec_.peer_deadline_ms, outs_left, ins_left,
           static_cast<unsigned long long>(spec_.seed), spec_.epoch));
     }
-    if (!progress) std::this_thread::yield();
+    std::this_thread::yield();
   }
 }
 

@@ -6,22 +6,36 @@
 // decided by hashing (seed, epoch, src, dst, tag, attempt) — never by wall
 // clock — so a given schedule is reproducible across runs and machines.
 // On top of the lossy sends sits `exchange()`: a poll-based reliable
-// bidirectional exchange in which every payload is acknowledged, unacked
-// sends are retransmitted with exponential backoff, and duplicate arrivals
-// are absorbed (matching is by (source, wire tag), which the halo/reduction
-// layers never reuse within a run). The protocol services incoming DATA,
-// incoming ACKs, and retransmissions from one loop, so two peers exchanging
-// payloads can never deadlock waiting on each other's ACKs.
+// bidirectional exchange in which every payload is acknowledged, lost
+// attempts are retransmitted, and duplicate arrivals are absorbed (matching
+// is by (source, wire tag), which the halo/reduction layers never reuse
+// within a run). The protocol services incoming DATA and incoming
+// ACK/NACKs from one loop, so two peers exchanging payloads can never
+// deadlock waiting on each other.
 //
-// Unsurvivable schedules stay diagnosable instead of hanging: a sender that
-// exhausts its retry budget throws CommRetryExhausted, and a receiver whose
-// poll budget expires (its peer died or dropped everything) throws
-// ReliableTimeout. Both derive from CommFaultError, the retryable class the
-// solve service keys re-enqueue-from-checkpoint on.
+// Retransmission is logical, not timed. Each DATA message carries a header
+// slot holding its attempt number; a dropped attempt puts a loss notice
+// (the negated attempt number) on the wire in its place — the simulated
+// stand-in for the receiver noticing a gap — and a delayed attempt sends
+// the notice now and its payload only once the receiver has reported it
+// missing. The receiver answers each notice with a NACK and the sender
+// retransmits only on a NACK. How many attempts a payload takes is
+// therefore a function of the schedule alone: a peer that is slow to
+// arrive costs time, never retries.
 //
-// ACK tags sit one bit above the data wire-tag space: HaloExchanger derives
-// wire tags as tag * 8 + subtag with tag < 2^20, so every data tag is below
-// 2^23 and ACKs occupy [2^23, 2^24), still under kCollectiveTagBase.
+// Unsurvivable schedules stay diagnosable instead of hanging: a sender
+// whose retry budget runs out throws CommRetryExhausted; a rank whose
+// exchange waits on a world in which another rank has already failed
+// throws PeerFailed at once; and an exchange that hears nothing from any
+// peer for `peer_deadline_ms` of wall time throws ReliableTimeout (a hung
+// peer or mismatched tags — never a lossy schedule). All three derive from
+// CommFaultError, the retryable class the solve service keys
+// re-enqueue-from-checkpoint on.
+//
+// ACK/NACK tags sit one bit above the data wire-tag space: HaloExchanger
+// derives wire tags as tag * 8 + subtag with tag < 2^20, so every data tag
+// is below 2^23 and ACKs occupy [2^23, 2^24), still under
+// kCollectiveTagBase.
 
 #include <cstdint>
 #include <span>
@@ -33,19 +47,20 @@
 
 namespace tl::comm {
 
-/// Added to a data wire tag to form its ACK tag.
+/// Added to a data wire tag to form its ACK/NACK tag.
 inline constexpr int kAckTagOffset = 1 << 23;
 
-/// A deterministic fault schedule plus the retry/deadlock budgets.
+/// A deterministic fault schedule plus the retry budget and the hung-peer
+/// deadline.
 struct FaultSpec {
   std::uint64_t seed = 1;   // schedule seed (mixed with epoch)
   double drop = 0.0;        // P(DATA send vanishes)
   double duplicate = 0.0;   // P(DATA send delivered twice)
-  double delay = 0.0;       // P(DATA send deferred by ~resend_polls/2 polls)
+  double delay = 0.0;       // P(DATA send arrives only after its receiver
+                            // has reported it missing)
   int max_attempts = 10;    // sends per payload before CommRetryExhausted
-  int resend_polls = 64;    // polls before the first retransmission; doubles
-                            // per attempt (capped) for exponential backoff
-  int poll_limit = 200'000; // per-exchange poll budget (deadlock guard)
+  int peer_deadline_ms = 60'000;  // wall time an exchange may go without
+                                  // hearing from any peer (hung-peer guard)
 
   /// Deterministic hard failure for lifecycle tests: while the injected
   /// step equals hard_fail_step and epoch == 0, every DATA send from
@@ -72,8 +87,15 @@ class CommRetryExhausted : public CommFaultError {
   using CommFaultError::CommFaultError;
 };
 
-/// A poll loop ran out of budget — the peer died or dropped everything.
+/// An exchange heard nothing from any peer for the whole deadline: a peer
+/// is hung, or the two sides disagree on tags.
 class ReliableTimeout : public CommFaultError {
+ public:
+  using CommFaultError::CommFaultError;
+};
+
+/// Another rank of the world has failed, so this exchange cannot complete.
+class PeerFailed : public CommFaultError {
  public:
   using CommFaultError::CommFaultError;
 };
@@ -85,7 +107,8 @@ struct FaultStats {
   std::uint64_t dropped = 0;     // injected drops
   std::uint64_t duplicated = 0;  // injected duplicate deliveries
   std::uint64_t delayed = 0;     // injected deferrals
-  std::uint64_t acks_sent = 0;   // ACKs emitted (never faulted)
+  std::uint64_t acks_sent = 0;   // ACKs emitted (ACK/NACKs are never
+                                 // faulted)
 };
 
 /// One outbound / inbound payload of a reliable exchange. The spans must
@@ -120,22 +143,15 @@ class FaultyComm {
 
  private:
   double uniform(int dest, int tag, int attempt, int salt) const;
-  /// Sends under the schedule; `poll` anchors injected delays.
-  void faulty_send(const WireOut& out, int attempt, std::uint64_t poll);
-  bool flush_due(std::uint64_t poll);
-
-  struct Delayed {
-    std::uint64_t due_poll = 0;
-    int dest = 0;
-    int tag = 0;
-    std::vector<double> payload;
-  };
+  /// Puts attempt `attempt` of `out` on the wire under the schedule, using
+  /// `wire` (header slot + payload) as the message buffer. Returns true
+  /// when the attempt was delayed: its payload is still owed.
+  bool faulty_send(const WireOut& out, int attempt, std::vector<double>& wire);
 
   Communicator& comm_;
   FaultSpec spec_;
   FaultStats stats_;
   int step_ = 0;
-  std::vector<Delayed> delayed_;
 };
 
 /// Fault-surviving allreduce(sum): reliable gather-to-0, combine in rank

@@ -31,6 +31,11 @@ World::World(int nranks) : nranks_(nranks) {
 
 World::~World() = default;
 
+void World::mark_failed(int rank) noexcept {
+  int none = -1;
+  failed_rank_.compare_exchange_strong(none, rank, std::memory_order_acq_rel);
+}
+
 Communicator World::communicator(int rank) {
   if (rank < 0 || rank >= nranks_) {
     throw std::out_of_range("World::communicator: bad rank");
@@ -120,6 +125,10 @@ void World::barrier_impl() {
 // ---------------------------------------------------------------------------
 
 int Communicator::size() const noexcept { return world_->size(); }
+
+int Communicator::failed_rank() const noexcept {
+  return world_->failed_rank();
+}
 
 void Communicator::send(std::span<const double> data, int dest, int tag) {
   world_->send_impl(rank_, dest, tag, data);
@@ -251,13 +260,13 @@ void run_ranks(int nranks, const std::function<void(Communicator&)>& body,
         body(comm);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
+        world.mark_failed(r);
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  const int first = world.failed_rank();
+  if (first >= 0) std::rethrow_exception(errors[static_cast<std::size_t>(first)]);
 }
 
 }  // namespace tl::comm

@@ -10,6 +10,7 @@
 // point model closely enough that the TeaLeaf halo-exchange driver code is
 // shaped exactly as it would be over real MPI.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -120,6 +121,11 @@ class Communicator {
   /// Gather one double from every rank to root; non-roots get empty results.
   std::vector<double> gather(double value, int root);
 
+  /// The first rank whose body has thrown under run_ranks, or -1 while
+  /// every rank is alive. Polling protocols check it so that a dead peer
+  /// ends their wait at once instead of after a timeout.
+  int failed_rank() const noexcept;
+
  private:
   friend class World;
   Communicator(World* world, int rank) : world_(world), rank_(rank) {}
@@ -128,10 +134,11 @@ class Communicator {
   int rank_;
 };
 
-/// Runs `body(comm)` on `nranks` threads, each with its own rank. Any
-/// exception thrown by a rank is rethrown (first rank's exception wins)
-/// after all threads join. A nonzero `recv_timeout` arms the World's
-/// deadlock guard (see World::set_recv_timeout).
+/// Runs `body(comm)` on `nranks` threads, each with its own rank. A rank
+/// that throws marks the World failed (Communicator::failed_rank); after
+/// all threads join, the first exception thrown is rethrown, since the
+/// others are usually its consequences. A nonzero `recv_timeout` arms the
+/// World's deadlock guard (see World::set_recv_timeout).
 void run_ranks(int nranks, const std::function<void(Communicator&)>& body,
                std::chrono::milliseconds recv_timeout =
                    std::chrono::milliseconds{0});
@@ -155,6 +162,12 @@ class World {
   /// indefinitely. Set before the rank threads start.
   void set_recv_timeout(std::chrono::milliseconds timeout) noexcept {
     recv_timeout_ = timeout;
+  }
+
+  /// Records that `rank` failed; only the first call takes effect.
+  void mark_failed(int rank) noexcept;
+  int failed_rank() const noexcept {
+    return failed_rank_.load(std::memory_order_acquire);
   }
 
  private:
@@ -190,6 +203,7 @@ class World {
 
   int nranks_;
   std::chrono::milliseconds recv_timeout_{0};
+  std::atomic<int> failed_rank_{-1};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   CollectiveState collective_;
 };

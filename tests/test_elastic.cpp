@@ -17,13 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -588,7 +591,6 @@ TEST(FaultInjection, UnsurvivableScheduleIsDiagnosable) {
   ctl.faults.seed = 3;
   ctl.faults.drop = 1.0;  // every DATA send vanishes — nothing can survive
   ctl.faults.max_attempts = 3;
-  ctl.faults.poll_limit = 20000;
   EXPECT_THROW(driver.run(ctl), c::CommFaultError);
 }
 
@@ -602,7 +604,6 @@ TEST(FaultInjection, HardFailKillsEpochZeroAndSparesTheResume) {
   spec.hard_fail_rank = 0;
   spec.hard_fail_step = 2;
   spec.max_attempts = 4;
-  spec.poll_limit = 20000;
 
   // Epoch 0: the world dies at step 2, after the step-1 checkpoint.
   d::Snapshot snap;
@@ -629,6 +630,76 @@ TEST(FaultInjection, HardFailKillsEpochZeroAndSparesTheResume) {
   ctl.faults.epoch = 1;
   ctl.resume = &snap;
   expect_bit_identical(clean, retry.run(ctl));
+}
+
+TEST(FaultInjection, RetryTalliesAreAFunctionOfTheSeed) {
+  Settings s = Settings::default_problem();
+  s.nx = s.ny = 32;
+  s.solver = SolverKind::kCg;
+  s.end_step = 1;
+  s.nranks = 4;
+
+  std::vector<std::vector<std::uint64_t>> tallies;
+  for (int run = 0; run < 2; ++run) {
+    d::DistributedDriver driver(s, reference_factory());
+    d::RunControl ctl;
+    ctl.faults.seed = 7;
+    ctl.faults.drop = 0.1;
+    ctl.faults.duplicate = 0.05;
+    ctl.faults.delay = 0.05;
+    const d::DistReport rep = driver.run(ctl);
+    std::vector<std::uint64_t> t;
+    for (const d::RankReport& r : rep.ranks) {
+      t.insert(t.end(), {r.comm.retries, r.comm.dropped, r.comm.duplicated,
+                         r.comm.delayed});
+    }
+    tallies.push_back(std::move(t));
+  }
+  EXPECT_EQ(tallies[0], tallies[1]);
+}
+
+TEST(FaultInjection, SlowPeerSpendsNoRetries) {
+  c::FaultSpec spec;
+  spec.max_attempts = 1;  // any retransmission would exhaust the budget
+  std::uint64_t retries = 0;
+  const std::vector<double> payload = {1.5, -2.25, 3.0};
+  std::vector<double> received(payload.size(), 0.0);
+  c::run_ranks(2, [&](c::Communicator& cm) {
+    c::FaultyComm fc(cm, spec);
+    if (cm.rank() == 0) {
+      const c::WireOut out{1, 5, std::span<const double>(payload)};
+      fc.exchange(std::span<const c::WireOut>(&out, 1), {});
+      retries = fc.stats().retries;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const c::WireIn in{0, 5, std::span<double>(received)};
+      fc.exchange({}, std::span<const c::WireIn>(&in, 1));
+    }
+  });
+  EXPECT_EQ(retries, 0u);
+  EXPECT_EQ(received, payload);
+}
+
+TEST(FaultInjection, FailedPeerEndsTheWaitWithoutTheDeadline) {
+  c::FaultSpec spec;
+  spec.peer_deadline_ms = 600'000;  // far beyond the ctest timeout
+  bool peer_failed_seen = false;
+  std::vector<double> received(4, 0.0);
+  EXPECT_THROW(
+      c::run_ranks(2,
+                   [&](c::Communicator& cm) {
+                     if (cm.rank() == 1) throw std::runtime_error("rank died");
+                     c::FaultyComm fc(cm, spec);
+                     const c::WireIn in{1, 9, std::span<double>(received)};
+                     try {
+                       fc.exchange({}, std::span<const c::WireIn>(&in, 1));
+                     } catch (const c::PeerFailed&) {
+                       peer_failed_seen = true;
+                       throw;
+                     }
+                   }),
+      std::runtime_error);
+  EXPECT_TRUE(peer_failed_seen);
 }
 
 // ===========================================================================
