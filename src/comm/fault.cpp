@@ -11,6 +11,11 @@ namespace tl::comm {
 namespace {
 
 /// splitmix64 finaliser — the schedule hash.
+/// Wall time an exchange may go without hearing from any peer. Only a hung
+/// peer or mismatched tags can use it up: lossy schedules end by retry
+/// exhaustion and dead peers by the World's failed mark.
+constexpr std::chrono::seconds kPeerDeadline{60};
+
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -89,7 +94,6 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
   }
 
   using Clock = std::chrono::steady_clock;
-  const auto deadline = std::chrono::milliseconds(spec_.peer_deadline_ms);
   auto last_heard = Clock::now();
   std::size_t remaining = outs.size() + ins.size();
   while (remaining > 0) {
@@ -157,15 +161,16 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
           comm_.rank(), failed, static_cast<unsigned long long>(spec_.seed),
           spec_.epoch));
     }
-    if (Clock::now() - last_heard > deadline) {
+    if (Clock::now() - last_heard > kPeerDeadline) {
       std::size_t outs_left = 0, ins_left = 0;
       for (const OutState& st : ostate) outs_left += st.acked ? 0 : 1;
       for (char g : got) ins_left += g ? 0 : 1;
       throw ReliableTimeout(util::strf(
-          "reliable exchange: rank %d heard from no peer for %d ms with %zu "
+          "reliable exchange: rank %d heard from no peer for %lld s with %zu "
           "send(s) unacked and %zu recv(s) missing (seed %llu, epoch %d) — "
           "peer hung or tags mismatched",
-          comm_.rank(), spec_.peer_deadline_ms, outs_left, ins_left,
+          comm_.rank(), static_cast<long long>(kPeerDeadline.count()),
+          outs_left, ins_left,
           static_cast<unsigned long long>(spec_.seed), spec_.epoch));
     }
     std::this_thread::yield();

@@ -27,8 +27,8 @@
 // whose retry budget runs out throws CommRetryExhausted; a rank whose
 // exchange waits on a world in which another rank has already failed
 // throws PeerFailed at once; and an exchange that hears nothing from any
-// peer for `peer_deadline_ms` of wall time throws ReliableTimeout (a hung
-// peer or mismatched tags — never a lossy schedule). All three derive from
+// peer for a minute of wall time throws ReliableTimeout (a hung peer or
+// mismatched tags — never a lossy schedule). All three derive from
 // CommFaultError, the retryable class the solve service keys
 // re-enqueue-from-checkpoint on.
 //
@@ -50,8 +50,7 @@ namespace tl::comm {
 /// Added to a data wire tag to form its ACK/NACK tag.
 inline constexpr int kAckTagOffset = 1 << 23;
 
-/// A deterministic fault schedule plus the retry budget and the hung-peer
-/// deadline.
+/// A deterministic fault schedule plus the retry budget.
 struct FaultSpec {
   std::uint64_t seed = 1;   // schedule seed (mixed with epoch)
   double drop = 0.0;        // P(DATA send vanishes)
@@ -59,8 +58,6 @@ struct FaultSpec {
   double delay = 0.0;       // P(DATA send arrives only after its receiver
                             // has reported it missing)
   int max_attempts = 10;    // sends per payload before CommRetryExhausted
-  int peer_deadline_ms = 60'000;  // wall time an exchange may go without
-                                  // hearing from any peer (hung-peer guard)
 
   /// Deterministic hard failure for lifecycle tests: while the injected
   /// step equals hard_fail_step and epoch == 0, every DATA send from
