@@ -2,31 +2,23 @@
 // CUDA-like programming model layer (from-scratch reimplementation of the
 // API *style* the paper's CUDA port uses — see DESIGN.md substitutions).
 //
-// Reproduced concepts (paper sections 2.6, 3.5): kernels launched over a 1-D
-// grid of 1-D thread blocks, explicit block-size / block-count arithmetic
-// with overspill guards inside the kernel, device buffers with explicit
-// memcpy in each direction, shared-memory scratch per block, and the manual
-// two-stage reduction (per-block partials to global memory, finished on the
-// host) the paper cites as CUDA's main complexity cost over Kokkos.
+// Reproduced concepts (paper sections 2.6, 3.5): device buffers with
+// explicit memcpy in each direction, charged to the runtime's launcher.
 //
-// Emulation note: threads of a block run sequentially in-order, so
-// __syncthreads() is correct as a no-op; reduction kernels follow the
-// convention that the last thread of a block finalises the block partial.
+// The TeaLeaf port (ports/policies.hpp CudaPolicy) runs each kernel, a grid
+// of 256-thread blocks with the overspill guard in the kernel, as the ports'
+// shared row walk under this runtime's launcher, folding its reductions one
+// partial per block; the manual two-stage reduction the paper cites as
+// CUDA's main complexity cost over Kokkos is a codegen-profile property.
 
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "models/launcher.hpp"
 #include "util/buffer.hpp"
 
 namespace culike {
-
-struct Dim3 {
-  unsigned x = 1;
-  constexpr explicit Dim3(unsigned x_) : x(x_) {}
-};
 
 /// Device allocation (cudaMalloc analogue). Host code moves data with
 /// memcpy_htod / memcpy_dtoh; kernels index it directly.
@@ -48,24 +40,6 @@ class DeviceBuffer {
   tl::util::Buffer<double> storage_;
 };
 
-/// Thread coordinates handed to the kernel body, CUDA naming.
-struct ThreadCtx {
-  unsigned thread_idx = 0;  // threadIdx.x
-  unsigned block_idx = 0;   // blockIdx.x
-  unsigned block_dim = 1;   // blockDim.x
-  unsigned grid_dim = 1;    // gridDim.x
-
-  /// Per-block shared memory (dynamic shared mem analogue).
-  std::span<double> shared;
-
-  std::size_t global_thread() const noexcept {
-    return static_cast<std::size_t>(block_idx) * block_dim + thread_idx;
-  }
-  bool is_last_in_block() const noexcept {
-    return thread_idx + 1 == block_dim;
-  }
-};
-
 class Runtime {
  public:
   Runtime(tl::sim::Model model, tl::sim::DeviceId device,
@@ -73,30 +47,6 @@ class Runtime {
       : launcher_(model, device, run_seed) {}
 
   models::Launcher& launcher() noexcept { return launcher_; }
-
-  /// kernel<<<grid, block, shared_elems * 8>>>(...) analogue.
-  template <typename Kernel>
-  void launch(const tl::sim::LaunchInfo& info, Dim3 grid, Dim3 block,
-              std::size_t shared_elems, Kernel&& kernel) {
-    if (grid.x == 0 || block.x == 0) {
-      throw std::invalid_argument("culike: empty launch configuration");
-    }
-    launcher_.run(info, [&] {
-      shared_.assign(shared_elems, 0.0);
-      ThreadCtx ctx;
-      ctx.block_dim = block.x;
-      ctx.grid_dim = grid.x;
-      ctx.shared = std::span<double>(shared_);
-      for (unsigned b = 0; b < grid.x; ++b) {
-        std::fill(shared_.begin(), shared_.end(), 0.0);
-        ctx.block_idx = b;
-        for (unsigned t = 0; t < block.x; ++t) {
-          ctx.thread_idx = t;
-          kernel(ctx);
-        }
-      }
-    });
-  }
 
   void memcpy_htod(DeviceBuffer& dst, std::span<const double> src) {
     if (src.size() != dst.size()) {
@@ -118,14 +68,8 @@ class Runtime {
         .to_device = false});
   }
 
-  /// Block/grid sizing helper every CUDA port writes by hand.
-  static unsigned blocks_for(std::size_t items, unsigned block_size) {
-    return static_cast<unsigned>((items + block_size - 1) / block_size);
-  }
-
  private:
   models::Launcher launcher_;
-  std::vector<double> shared_;
 };
 
 }  // namespace culike

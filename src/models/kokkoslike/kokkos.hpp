@@ -8,14 +8,14 @@
 //     only way across the spaces;
 //   - View<double**>: reference-counted 2-D array with label (shared_ptr
 //     copy semantics, exactly as the paper describes);
-//   - functors: any callable with operator()(int) — the port's classes with
-//     captured Views;
-//   - parallel_for / parallel_reduce over a flat RangePolicy (the paper's
-//     flat iteration space that forces loop-body halo exclusion);
-//   - TeamPolicy hierarchical parallelism: league of teams, nested
-//     team_thread_range, the Sandia fix for the KNC halo-branch problem;
-//   - custom reductions via init/join on the functor (the multi-variable
-//     field summary).
+//   - functors: any callable with operator()(int);
+//   - parallel_for over a flat RangePolicy (the paper's flat iteration
+//     space that forces loop-body halo exclusion), measured as host cost by
+//     bench_micro_models.
+//
+// The TeaLeaf port (ports/policies.hpp KokkosPolicy) holds its fields in
+// Views and charges deep_copy here; its launches run the ports' shared row
+// walk under this context's launcher.
 
 #include <cstddef>
 #include <memory>
@@ -74,31 +74,6 @@ struct RangePolicy {
   std::int64_t end = 0;
 };
 
-/// Hierarchical parallelism: a league of `league_size` teams of
-/// `team_size` threads (paper Fig 7).
-struct TeamPolicy {
-  int league_size = 0;
-  int team_size = 1;
-};
-
-class TeamMember {
- public:
-  TeamMember(int league_rank, int team_size)
-      : league_rank_(league_rank), team_size_(team_size) {}
-  int league_rank() const noexcept { return league_rank_; }
-  int team_size() const noexcept { return team_size_; }
-
- private:
-  int league_rank_;
-  int team_size_;
-};
-
-/// Nested parallel loop over a team's threads (TeamThreadRange).
-template <typename Body>
-void team_thread_range(const TeamMember&, int count, Body&& body) {
-  for (int i = 0; i < count; ++i) body(i);
-}
-
 /// The runtime instance a port holds: binds the API to one simulated device.
 class Context {
  public:
@@ -120,47 +95,6 @@ class Context {
     launcher_.run(info, [&] {
       for (std::int64_t i = policy.begin; i < policy.end; ++i) f(i);
     });
-  }
-
-  /// Custom reduction: Value must be default-constructible; the functor
-  /// provides init(Value&) and join(Value&, const Value&) (paper: the one
-  /// TeaLeaf kernel needing a multi-variable reduction).
-  template <typename Functor, typename Value>
-  void parallel_reduce(const tl::sim::LaunchInfo& info, RangePolicy policy,
-                       Functor&& f, Value& result) {
-    Value acc{};
-    f.init(acc);
-    launcher_.run(info, [&] {
-      for (std::int64_t i = policy.begin; i < policy.end; ++i) f(i, acc);
-    });
-    f.join(result, acc);
-  }
-
-  /// Hierarchical parallel_for: functor receives the team member.
-  template <typename Functor>
-  void parallel_for_team(const tl::sim::LaunchInfo& info, TeamPolicy policy,
-                         Functor&& f) {
-    launcher_.run(info, [&] {
-      for (int t = 0; t < policy.league_size; ++t) {
-        f(TeamMember(t, policy.team_size));
-      }
-    });
-  }
-
-  /// Hierarchical reduction: each team accumulates into a private value that
-  /// is "critically added" (paper section 3.3) after the team completes.
-  template <typename Functor>
-  void parallel_reduce_team(const tl::sim::LaunchInfo& info, TeamPolicy policy,
-                            Functor&& f, double& result) {
-    double total = 0.0;
-    launcher_.run(info, [&] {
-      for (int t = 0; t < policy.league_size; ++t) {
-        double team_acc = 0.0;
-        f(TeamMember(t, policy.team_size), team_acc);
-        total += team_acc;  // the critical section in real Kokkos
-      }
-    });
-    result = total;
   }
 
  private:

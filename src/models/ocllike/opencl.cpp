@@ -16,13 +16,6 @@ std::vector<PlatformDevice> get_platform_devices() {
   return out;
 }
 
-void CommandQueue::check_nd_range(std::size_t global, std::size_t local) {
-  if (local == 0 || global % local != 0) {
-    throw std::invalid_argument(
-        "ocllike: global size must be a positive multiple of local size");
-  }
-}
-
 void CommandQueue::enqueue_write(Buffer& dst, std::span<const double> src) {
   if (src.size() != dst.size()) {
     throw std::invalid_argument("ocllike: enqueue_write size mismatch");

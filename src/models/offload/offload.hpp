@@ -1,19 +1,19 @@
 #pragma once
 // Directive-style offload runtime — the shared machinery behind the OpenMP
-// 4.0 (`target`) and OpenACC (`kernels`) front-ends.
+// 4.0 (`target`) and OpenACC (`kernels`) ports.
 //
 // Reproduced concepts (paper sections 2.1, 2.2, 3.1, 3.2):
 //   - `target data` / `acc data` scopes: map arrays onto the device for the
 //     scope's lifetime so multiple target regions reuse resident data;
 //   - `map(to/from/tofrom/alloc)` direction semantics with transfer charging
 //     at scope entry/exit;
-//   - `update from`: explicit mid-scope consistency for results;
-//   - per-region synchronous launch overhead — the paper's observed
-//     "overhead dependent upon the number of target invocations", which the
-//     OpenMP 4.5 `nowait` directive was expected to hide (modelled by the
-//     fuse_regions knob used in the ablation bench);
-//   - `collapse(2)` loop nests over the padded field's rows and columns, with
-//     reductions through the directive reduction clause.
+//   - `update from`: explicit mid-scope consistency for results.
+//
+// The TeaLeaf port (ports/policies.hpp OffloadPolicy) runs each kernel, one
+// synchronous collapse(2) target region, as the ports' shared row walk under
+// this runtime's launcher. The per-region launch overhead the paper observed
+// ("overhead dependent upon the number of target invocations") is priced by
+// the codegen profile's launch_overhead_ns.
 
 #include <cstdint>
 #include <span>
@@ -57,14 +57,6 @@ class Runtime {
   void update_from(const void* host_ptr, std::size_t bytes) {
     require_present(host_ptr);
     charge_transfer(bytes, false);
-  }
-
-  /// Executes one target region. Kernels inside a data scope find their
-  /// arrays resident; launching still pays the per-region overhead carried
-  /// by the LaunchInfo-derived cost (the paper's target-region overhead).
-  template <typename Body>
-  void target_region(const tl::sim::LaunchInfo& info, Body&& body) {
-    launcher_.run(info, std::forward<Body>(body));
   }
 
  private:
@@ -128,83 +120,4 @@ class DataScope {
   std::vector<MapSpec> maps_;
 };
 
-/// The iteration space of a `collapse(2)` loop nest: rows [y0, y1) outer,
-/// columns [x0, x1) inner.
-struct Collapse2 {
-  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
-};
-
-/// One target region running `body(x, y)` over the collapsed nest.
-template <typename Body>
-void collapsed_region(Runtime& rt, const tl::sim::LaunchInfo& info,
-                      const Collapse2& nest, Body&& body) {
-  rt.target_region(info, [&] {
-    for (std::int64_t y = nest.y0; y < nest.y1; ++y) {
-      for (std::int64_t x = nest.x0; x < nest.x1; ++x) body(x, y);
-    }
-  });
-}
-
-/// Same with a `reduction(+: result)` clause: `body(x, y, acc)`.
-template <typename Body>
-double collapsed_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
-                        const Collapse2& nest, Body&& body) {
-  double acc = 0.0;
-  collapsed_region(rt, info, nest,
-                   [&](std::int64_t x, std::int64_t y) { body(x, y, acc); });
-  return acc;
-}
-
 }  // namespace offload
-
-// ---------------------------------------------------------------------------
-// OpenMP 4.0 front-end: #pragma omp target teams distribute parallel for
-//                       collapse(2) [reduction(+: acc)]
-// ---------------------------------------------------------------------------
-namespace omp4 {
-
-using offload::Collapse2;
-using offload::DataScope;
-using offload::MapDir;
-using offload::MapSpec;
-using offload::Runtime;
-
-template <typename Body>
-void target_parallel_for(Runtime& rt, const tl::sim::LaunchInfo& info,
-                         const Collapse2& nest, Body&& body) {
-  offload::collapsed_region(rt, info, nest, std::forward<Body>(body));
-}
-
-template <typename Body>
-double target_parallel_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
-                              const Collapse2& nest, Body&& body) {
-  return offload::collapsed_reduce(rt, info, nest, std::forward<Body>(body));
-}
-
-}  // namespace omp4
-
-// ---------------------------------------------------------------------------
-// OpenACC front-end: #pragma acc kernels loop independent collapse(2)
-//                    [reduction(+: acc)]
-// ---------------------------------------------------------------------------
-namespace acc {
-
-using offload::Collapse2;
-using offload::DataScope;
-using offload::MapDir;
-using offload::MapSpec;
-using offload::Runtime;
-
-template <typename Body>
-void kernels_loop(Runtime& rt, const tl::sim::LaunchInfo& info,
-                  const Collapse2& nest, Body&& body) {
-  offload::collapsed_region(rt, info, nest, std::forward<Body>(body));
-}
-
-template <typename Body>
-double kernels_loop_reduce(Runtime& rt, const tl::sim::LaunchInfo& info,
-                           const Collapse2& nest, Body&& body) {
-  return offload::collapsed_reduce(rt, info, nest, std::forward<Body>(body));
-}
-
-}  // namespace acc

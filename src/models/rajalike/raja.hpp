@@ -9,12 +9,15 @@
 //   - IndexSets aggregate segments and are dispatched by forall<Policy>;
 //     TeaLeaf's halo exclusion is encoded as per-row ListSegments, which is
 //     precisely the indirection that precludes vectorisation in the paper;
-//   - ReduceSum objects usable from inside the lambda;
 //   - the simd_exec policy models the paper's RAJA SIMD proof of concept
 //     (OpenMP 4.0 `simd` on the inner loops).
+//
+// The TeaLeaf port (ports/policies.hpp RajaPolicy) charges its transfers
+// through this context's launcher and runs the ports' shared row walk under
+// it; the indirection is priced by the launches' traits.indirection, and its
+// host cost is measured over forall here by bench_micro_models.
 
 #include <cstdint>
-#include <numeric>
 #include <variant>
 #include <vector>
 
@@ -83,23 +86,6 @@ IndexSet make_interior_index_set(int nx, int ny, int halo_depth, int pad = 0);
 /// benches to isolate the indirection cost.
 IndexSet make_interior_range_set(int nx, int ny, int halo_depth, int pad = 0);
 
-class Context;
-
-/// Reduction object following RAJA's style: constructed against the context,
-/// accumulated into from the lambda, read once with get().
-class ReduceSum {
- public:
-  explicit ReduceSum(double initial = 0.0) : value_(initial) {}
-  ReduceSum& operator+=(double v) {
-    value_ += v;
-    return *this;
-  }
-  double get() const noexcept { return value_; }
-
- private:
-  double value_;
-};
-
 class Context {
  public:
   Context(tl::sim::Model model, tl::sim::DeviceId device,
@@ -125,14 +111,6 @@ class Context {
           for (const std::int64_t i : std::get<ListSegment>(s).indices) body(i);
         }
       }
-    });
-  }
-
-  /// Plain range forall (initialisation code, dot products over vectors).
-  template <typename Policy, typename Body>
-  void forall(const tl::sim::LaunchInfo& info, RangeSegment range, Body&& body) {
-    launcher_.run(info, [&] {
-      for (std::int64_t i = range.begin; i < range.end; ++i) body(i);
     });
   }
 

@@ -2,14 +2,18 @@
 // Launch policies: what each programming model fixes about a TeaLeaf port.
 //
 // Port<Policy> (ports/port.hpp) writes every kernel body once, as a per-cell
-// function of the padded flat index. A policy supplies only what its model
+// function of the padded flat index. Every metered launch walks its box the
+// same way, row by row with contiguous cells (for_box), under the launcher
+// of the model's layer (src/models). A policy supplies only what its model
 // decides:
 //   - storage: where the padded fields live (host chunk, Kokkos Views,
 //     OpenCL buffers, CUDA device buffers);
-//   - traversal: how a kernel walks a box of cells, executed through the
-//     model layer (src/models), which meters one launch per call;
 //   - the reduction combine order its model fixes;
 //   - the transfers it charges for upload_state / read_u / download_energy.
+// The code shapes the paper blames (Kokkos' flat loop with a halo test,
+// RAJA's ListSegment indirection, the hand-written two-stage reductions) are
+// priced by the KernelTraits on each LaunchInfo and the sim/codegen profile,
+// and measured in isolation by bench_micro_models; none is replayed here.
 //
 // Every policy offers the same surface:
 //   for_each(info, box, body)   metered sweep, body(i) per cell
@@ -22,17 +26,19 @@
 // Combine orders (each lane is a separate sum; every sum starts at +0.0):
 //   HostRowsPolicy      lane 0: HostPool chunks of rows, pairwise in chunk
 //                       order; lanes 1+: one partial per row, row order
-//   KokkosFlatPolicy,   left fold over the box's cells, row-major
-//   RajaPolicy,
+//   KokkosPolicy        kokkos, and kokkos_hp outside its classic kernels:
+//   RajaPolicy,         a left fold over the box's cells, row-major
 //   OffloadPolicy
-//   KokkosTeamPolicy    classic kernels: one partial per row (team), row
-//                       order; every other kernel: the flat left fold
-//   OpenClPolicy,       one partial per G-item group of the box's row-major
-//   CudaPolicy          cells (G = 256), groups in order
+//   KokkosPolicy        kokkos_hp classic kernels: one partial per row (team),
+//                       row order
+//   OpenClPolicy,       one partial per kGroupSize cells of the box's
+//   CudaPolicy          row-major cells (a group may span rows; the last may
+//                       be partial), groups in order
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -80,12 +86,6 @@ inline Box padded_box(const core::Mesh& m) {
   return {0, m.padded_nx(), 0, m.padded_ny()};
 }
 
-inline std::size_t box_cells(const Box& b) {
-  return b.empty() ? 0
-                   : static_cast<std::size_t>(b.x1 - b.x0) *
-                         static_cast<std::size_t>(b.y1 - b.y0);
-}
-
 /// Row-major walk over a box of a padded field `width` wide.
 template <typename Body>
 void for_box(const Box& b, std::int64_t width, Body&& body) {
@@ -95,35 +95,72 @@ void for_box(const Box& b, std::int64_t width, Body&& body) {
   }
 }
 
-/// Row-major cursor over a box's cells. The emulated models run work items
-/// strictly in order, so a flat-index traversal steps this cursor instead of
-/// dividing the flat index by the row width for every cell.
-class BoxCursor {
- public:
-  BoxCursor(const Box& b, std::int64_t width)
-      : b_(b), width_(width), x_(b.x0), y_(b.y0) {}
+/// Cells per partial of a flat left fold: more than any box holds.
+inline constexpr std::int64_t kWholeBox =
+    std::numeric_limits<std::int64_t>::max();
 
-  /// Padded index of the next cell in the box.
-  std::int64_t next() {
-    const std::int64_t i = y_ * width_ + x_;
-    if (++x_ == b_.x1) {
-      x_ = b_.x0;
-      ++y_;
+/// The combine order of every policy but HostRowsPolicy, on for_box's walk.
+/// The box's row-major cells are cut into consecutive runs of `run` cells
+/// (the last may be shorter); each run's lanes are left-folded from +0.0
+/// into a partial, and the partials are left-folded in run order. With
+/// run = kWholeBox this is the flat left fold: the one partial is added to
+/// +0.0, which is exact because a sum seeded with +0.0 is never -0.0.
+template <typename Body>
+LanesOf<Body> fold_runs(const Box& b, std::int64_t width, std::int64_t run,
+                        Body& body) {
+  using Lanes = LanesOf<Body>;
+  Lanes total{}, part{};
+  std::int64_t left = run;  // cells still to add to `part`
+  for (std::int64_t y = b.y0; y < b.y1; ++y) {
+    const std::int64_t row = y * width;
+    for (std::int64_t x = b.x0; x < b.x1;) {
+      const std::int64_t n = std::min<std::int64_t>(b.x1 - x, left);
+      const std::int64_t end = row + x + n;
+      for (std::int64_t i = row + x; i < end; ++i) add_lanes(part, body(i));
+      x += n;
+      left -= n;
+      if (left == 0) {
+        add_lanes(total, part);
+        part = Lanes{};
+        left = run;
+      }
     }
-    return i;
   }
+  if (left != run) add_lanes(total, part);
+  return total;
+}
 
- private:
-  Box b_;
-  std::int64_t width_, x_, y_;
-};
-
-/// Geometry every policy shares, and the plain host sweep.
+/// Geometry every policy shares, and the metered launch of every policy but
+/// HostRowsPolicy: for_box under the launcher of the model's layer, and for
+/// reductions fold_runs in runs of the policy's partial_cells(info, box).
+/// `Policy` supplies launcher() and, where its model fixes a combine order
+/// other than the flat left fold, partial_cells.
+template <typename Policy>
 class PolicyBase {
  public:
   template <typename Body>
+  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
+    self().launcher().run(info, [&] { for_box(b, width_, body); });
+  }
+
+  template <typename Body>
+  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
+                       Body&& body) {
+    LanesOf<Body> out{};
+    self().launcher().run(info, [&] {
+      out = fold_runs(b, width_, self().partial_cells(info, b), body);
+    });
+    return out;
+  }
+
+  template <typename Body>
   void sweep(const Box& b, Body&& body) {
     for_box(b, width_, body);
+  }
+
+  /// Cells per reduction partial: the flat left fold.
+  static std::int64_t partial_cells(const sim::LaunchInfo&, const Box&) {
+    return kWholeBox;
   }
 
  protected:
@@ -139,28 +176,32 @@ class PolicyBase {
 
   std::int64_t width_, height_;
   std::size_t padded_;
+
+ private:
+  Policy& self() { return static_cast<Policy&>(*this); }
 };
 
 /// Fields held in a host chunk (OpenMP 3.0, RAJA, and the host copies the
 /// offload directives map onto the device).
-class HostFields : public PolicyBase {
+template <typename Policy>
+class HostFields : public PolicyBase<Policy> {
  public:
   util::Span2D<double> field(core::FieldId id) { return storage_.field(id); }
 
  protected:
   explicit HostFields(const core::Mesh& mesh)
-      : PolicyBase(mesh), storage_(mesh) {}
+      : PolicyBase<Policy>(mesh), storage_(mesh) {}
 
   void copy_in(const core::Chunk& chunk) {
     for (const core::FieldId id : {core::FieldId::kDensity,
                                    core::FieldId::kEnergy0}) {
       const double* src = chunk.field(id).data();
-      std::copy(src, src + padded_, storage_.field(id).data());
+      std::copy(src, src + this->padded_, storage_.field(id).data());
     }
   }
   void copy_out(core::FieldId id, util::Span2D<double> out) {
     const double* src = storage_.field(id).data();
-    std::copy(src, src + padded_, out.data());
+    std::copy(src, src + this->padded_, out.data());
   }
 
   core::Chunk storage_;
@@ -171,8 +212,9 @@ class HostFields : public PolicyBase {
 // ---------------------------------------------------------------------------
 
 /// The only policy that reads `host_threads`: its rows run on a HostPool of
-/// that width, and its reductions are bit-identical at any width.
-class HostRowsPolicy : public HostFields {
+/// that width, and its reductions are bit-identical at any width. It replaces
+/// the shared launch with the HostPool's row chunks.
+class HostRowsPolicy : public HostFields<HostRowsPolicy> {
  public:
   HostRowsPolicy(sim::Model model, sim::DeviceId device,
                  const core::Mesh& mesh, std::uint64_t run_seed,
@@ -243,8 +285,8 @@ class HostRowsPolicy : public HostFields {
  private:
   template <typename Body>
   void row(const Box& b, std::int64_t y, Body& body) {
-    const std::int64_t base = y * width_;
-    for (std::int64_t x = b.x0; x < b.x1; ++x) body(base + x);
+    for_box({b.x0, b.x1, static_cast<int>(y), static_cast<int>(y) + 1},
+            width_, body);
   }
 
   template <typename Lanes>
@@ -287,17 +329,22 @@ class HostRowsPolicy : public HostFields {
 };
 
 // ---------------------------------------------------------------------------
-// Kokkos: a flat RangePolicy with the loop-body halo test, or TeamPolicy
+// Kokkos (flat RangePolicy) and Kokkos-HP (TeamPolicy for the classic kernels)
 // ---------------------------------------------------------------------------
 
-/// Every kernel is a functor over the flattened padded iteration space with
-/// a halo-exclusion conditional in its body — the paper's original Kokkos
-/// port. Fields are Views; deep_copy charges the link on offload devices.
-class KokkosFlatPolicy : public PolicyBase {
+/// Fields are Views; deep_copy charges the link on offload devices. The
+/// flat port's loop-body halo test and the hierarchical port's team rows are
+/// the launches' traits.interior_branch / traits.hierarchical. What kokkos_hp
+/// keeps on the host is its reduction: the performance-critical classic
+/// kernels add one partial per team (row); setup, diagnostic, fused and
+/// pipelined kernels keep the flat functor's left fold.
+class KokkosPolicy : public PolicyBase<KokkosPolicy> {
  public:
-  KokkosFlatPolicy(sim::Model model, sim::DeviceId device,
-                   const core::Mesh& mesh, std::uint64_t run_seed, unsigned)
-      : PolicyBase(mesh), ctx_(model, device, run_seed) {
+  KokkosPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
+               std::uint64_t run_seed, unsigned)
+      : PolicyBase(mesh),
+        teams_(model == sim::Model::kKokkosHp),
+        ctx_(model, device, run_seed) {
     for (const core::FieldId id : core::kAllFields) {
       views_[static_cast<std::size_t>(id)] = kokkoslike::View(
           std::string(core::field_name(id)), static_cast<int>(width_),
@@ -322,112 +369,8 @@ class KokkosFlatPolicy : public PolicyBase {
     std::copy(src, src + padded_, out.data());
   }
 
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    FlatSweep<Body> f{BoxTest(b, width_), body};
-    ctx_.parallel_for(info, flat(), f);
-  }
-
-  /// Kokkos' custom reduction: the functor's init/join over the lanes.
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    FlatReduce<Body> f{BoxTest(b, width_), body};
-    LanesOf<Body> out{};
-    ctx_.parallel_reduce(info, flat(), f, out);
-    return out;
-  }
-
- protected:
-  kokkoslike::View view(core::FieldId id) {
-    return views_[static_cast<std::size_t>(id)];
-  }
-  kokkoslike::RangePolicy flat() const {
-    return {0, static_cast<std::int64_t>(padded_)};
-  }
-
-  /// The loop-body halo test, fed the flat index in order: it steps an
-  /// (x, y) cursor with each index instead of dividing it by the width.
-  class BoxTest {
-   public:
-    BoxTest(const Box& b, std::int64_t width) : b_(b), width_(width) {}
-    bool next() {
-      const bool in = x_ >= b_.x0 && x_ < b_.x1 && y_ >= b_.y0 && y_ < b_.y1;
-      if (++x_ == width_) {
-        x_ = 0;
-        ++y_;
-      }
-      return in;
-    }
-
-   private:
-    Box b_;
-    std::int64_t width_, x_ = 0, y_ = 0;
-  };
-
-  template <typename Body>
-  struct FlatSweep {
-    BoxTest test;
-    Body& body;
-    void operator()(std::int64_t i) {
-      if (test.next()) body(i);
-    }
-  };
-
-  template <typename Body>
-  struct FlatReduce {
-    using Lanes = LanesOf<Body>;
-    BoxTest test;
-    Body& body;
-    void init(Lanes& v) const { v = Lanes{}; }
-    void join(Lanes& dst, const Lanes& src) const { add_lanes(dst, src); }
-    void operator()(std::int64_t i, Lanes& acc) {
-      if (test.next()) add_lanes(acc, body(i));
-    }
-  };
-
-  kokkoslike::Context ctx_;
-  std::array<kokkoslike::View, core::kAllFields.size()> views_;
-};
-
-/// Kokkos hierarchical parallelism (the Sandia fix, paper Fig 7): the
-/// performance-critical classic kernels run a TeamPolicy with one team per
-/// row and a nested TeamThreadRange over its columns, re-encoding the halo
-/// exclusion into the iteration space; their reductions add one partial per
-/// team. Setup, diagnostic, fused and pipelined kernels keep the flat form.
-class KokkosTeamPolicy : public KokkosFlatPolicy {
- public:
-  using KokkosFlatPolicy::KokkosFlatPolicy;
-
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    if (!team_kernel(info)) return KokkosFlatPolicy::for_each(info, b, body);
-    ctx_.parallel_for_team(
-        info, teams(b), [&](const kokkoslike::TeamMember& t) {
-          const std::int64_t row = (b.y0 + t.league_rank()) * width_ + b.x0;
-          kokkoslike::team_thread_range(t, b.x1 - b.x0,
-                                        [&](int i) { body(row + i); });
-        });
-  }
-
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    if constexpr (std::tuple_size_v<LanesOf<Body>> == 1) {
-      if (team_kernel(info)) {
-        double total = 0.0;
-        ctx_.parallel_reduce_team(
-            info, teams(b),
-            [&](const kokkoslike::TeamMember& t, double& acc) {
-              const std::int64_t row = (b.y0 + t.league_rank()) * width_ + b.x0;
-              kokkoslike::team_thread_range(
-                  t, b.x1 - b.x0, [&](int i) { acc += body(row + i)[0]; });
-            },
-            total);
-        return {total};
-      }
-    }
-    return KokkosFlatPolicy::reduce(info, b, body);
+  std::int64_t partial_cells(const sim::LaunchInfo& info, const Box& b) const {
+    return teams_ && team_kernel(info) ? b.x1 - b.x0 : kWholeBox;
   }
 
  private:
@@ -449,31 +392,29 @@ class KokkosTeamPolicy : public KokkosFlatPolicy {
         return false;
     }
   }
-  static kokkoslike::TeamPolicy teams(const Box& b) { return {b.y1 - b.y0, 1}; }
+
+  kokkoslike::View view(core::FieldId id) {
+    return views_[static_cast<std::size_t>(id)];
+  }
+
+  bool teams_;
+  kokkoslike::Context ctx_;
+  std::array<kokkoslike::View, core::kAllFields.size()> views_;
 };
 
 // ---------------------------------------------------------------------------
-// RAJA: forall over pre-computed IndexSets of per-row ListSegments
+// RAJA and RAJA SIMD: forall over per-row ListSegment IndexSets
 // ---------------------------------------------------------------------------
 
-/// The interior and coefficient-ring iteration spaces are built once as
-/// IndexSets of per-row ListSegments (the indirection the paper blames for
-/// lost vectorisation); whole-field sweeps use a plain RangeSegment.
-/// Reductions go through one ReduceSum per lane. RAJA SIMD shares the
-/// traversal; its `omp simd` annotation is a codegen-profile property.
-class RajaPolicy : public HostFields {
+/// Host-chunk fields. The ListSegment indirection the paper blames for lost
+/// vectorisation is the launches' traits.indirection, and RAJA SIMD's
+/// `omp simd` annotation is a codegen-profile property; ReduceSum's
+/// reductions are the flat left fold.
+class RajaPolicy : public HostFields<RajaPolicy> {
  public:
   RajaPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
              std::uint64_t run_seed, unsigned)
-      : HostFields(mesh),
-        ctx_(model, device, run_seed),
-        padded_box_(padded_box(mesh)),
-        interior_box_(interior_box(mesh)),
-        ring_box_(ring_box(mesh)),
-        interior_(rajalike::make_interior_index_set(mesh.nx, mesh.ny,
-                                                    mesh.halo_depth)),
-        ring_(rajalike::make_interior_index_set(mesh.nx + 2, mesh.ny + 2,
-                                                mesh.halo_depth - 1)) {}
+      : HostFields(mesh), ctx_(model, device, run_seed) {}
 
   models::Launcher& launcher() { return ctx_.launcher(); }
 
@@ -490,43 +431,8 @@ class RajaPolicy : public HostFields {
         {.name = name, .bytes = padded_bytes(), .to_device = false});
   }
 
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    if (b == padded_box_) {
-      const auto n = static_cast<std::int64_t>(padded_);
-      ctx_.forall<Exec>(info, rajalike::RangeSegment{0, n}, body);
-    } else {
-      ctx_.forall<Exec>(info, index_set(b), body);
-    }
-  }
-
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    std::array<rajalike::ReduceSum, std::tuple_size_v<LanesOf<Body>>> sums;
-    ctx_.forall<Exec>(info, index_set(b), [&](std::int64_t i) {
-      const LanesOf<Body> v = body(i);
-      for (std::size_t k = 0; k < sums.size(); ++k) sums[k] += v[k];
-    });
-    LanesOf<Body> out{};
-    for (std::size_t k = 0; k < sums.size(); ++k) out[k] = sums[k].get();
-    return out;
-  }
-
  private:
-  using Exec = rajalike::omp_parallel_for_exec;
-
-  const rajalike::IndexSet& index_set(const Box& b) const {
-    if (b == interior_box_) return interior_;
-    if (b == ring_box_) return ring_;
-    throw std::logic_error("RAJA port: no IndexSet for this iteration space");
-  }
-
   rajalike::Context ctx_;
-  Box padded_box_, interior_box_, ring_box_;
-  // Pre-computed traversals (the paper: "the pre-computation of those
-  // indirection lists still had to occur earlier in the application").
-  rajalike::IndexSet interior_, ring_;
 };
 
 // ---------------------------------------------------------------------------
@@ -534,55 +440,13 @@ class RajaPolicy : public HostFields {
 // ---------------------------------------------------------------------------
 
 /// The group size of both device-tuned ports.
-inline constexpr std::size_t kGroupSize = 256;
+inline constexpr std::int64_t kGroupSize = 256;
 
-inline std::size_t group_global(std::size_t items) {
-  return (items + kGroupSize - 1) / kGroupSize * kGroupSize;
-}
-
-/// Work item `id` of a flat NDRange / grid over a box: items past the box's
-/// cell count are the overspill guard's no-ops.
-template <typename Body>
-struct GroupSweep {
-  BoxCursor cell;
-  std::size_t n;
-  Body& body;
-
-  void item(std::size_t id) {
-    if (id < n) body(cell.next());
-  }
-};
-
-/// The hand-written two-stage reduction: lane 0 goes through the group's
-/// local (shared) memory, one slot per item, and the group's last item folds
-/// the slots into the group partial; the other lanes accumulate straight
-/// into companion per-group partials in item order. The group partials are
-/// then summed in group order (the host finish).
-template <typename Body>
-struct GroupReduce {
-  using Lanes = LanesOf<Body>;
-  BoxCursor cell;
-  std::size_t n;
-  Body& body;
-  Lanes group{}, total{};
-
-  void item(std::size_t id, std::size_t slot, std::span<double> local,
-            bool last_in_group) {
-    Lanes v{};
-    if (id < n) v = body(cell.next());
-    local[slot] = v[0];
-    for (std::size_t k = 1; k < v.size(); ++k) group[k] += v[k];
-    if (last_in_group) {
-      for (const double x : local) group[0] += x;
-      add_lanes(total, group);
-      group = Lanes{};
-    }
-  }
-};
-
-/// OpenCL: explicit buffers moved by enqueueWrite/ReadBuffer, and an NDRange
-/// of 256-item work-groups per kernel.
-class OpenClPolicy : public PolicyBase {
+/// OpenCL: explicit buffers moved by enqueueWrite/ReadBuffer. Each kernel is
+/// an NDRange of kGroupSize-item work-groups over the box's row-major cells;
+/// its hand-written two-stage reduction adds one partial per group (the
+/// overspill items past the box only ever added +0.0).
+class OpenClPolicy : public PolicyBase<OpenClPolicy> {
  public:
   OpenClPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
                std::uint64_t run_seed, unsigned)
@@ -613,24 +477,8 @@ class OpenClPolicy : public PolicyBase {
     queue_.enqueue_read(buf(id), {out.data(), out.size()});
   }
 
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    GroupSweep<Body> k{BoxCursor(b, width_), box_cells(b), body};
-    queue_.enqueue_nd_range(
-        info, group_global(k.n), kGroupSize,
-        [&](const ocllike::NDItem& it) { k.item(it.global_id); });
-  }
-
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    GroupReduce<Body> k{BoxCursor(b, width_), box_cells(b), body};
-    queue_.enqueue_nd_range(info, group_global(k.n), kGroupSize,
-                            [&](const ocllike::NDItem& it) {
-                              k.item(it.global_id, it.local_id, it.local_mem,
-                                     it.local_id + 1 == it.local_size);
-                            });
-    return k.total;
+  static std::int64_t partial_cells(const sim::LaunchInfo&, const Box&) {
+    return kGroupSize;
   }
 
  private:
@@ -644,9 +492,10 @@ class OpenClPolicy : public PolicyBase {
       buffers_;
 };
 
-/// CUDA: device buffers moved by cudaMemcpy, and a grid of 256-thread blocks
-/// per kernel with the overspill guard in the kernel.
-class CudaPolicy : public PolicyBase {
+/// CUDA: device buffers moved by cudaMemcpy. Each kernel is a grid of
+/// kGroupSize-thread blocks with the overspill guard in the kernel; the
+/// manual two-stage reduction adds one partial per block.
+class CudaPolicy : public PolicyBase<CudaPolicy> {
  public:
   CudaPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
              std::uint64_t run_seed, unsigned)
@@ -671,31 +520,13 @@ class CudaPolicy : public PolicyBase {
     rt_.memcpy_dtoh({out.data(), out.size()}, buf(id));
   }
 
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    GroupSweep<Body> k{BoxCursor(b, width_), box_cells(b), body};
-    rt_.launch(info, grid(k.n), culike::Dim3(kGroupSize), 0,
-               [&](const culike::ThreadCtx& t) { k.item(t.global_thread()); });
-  }
-
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    GroupReduce<Body> k{BoxCursor(b, width_), box_cells(b), body};
-    rt_.launch(info, grid(k.n), culike::Dim3(kGroupSize), kGroupSize,
-               [&](const culike::ThreadCtx& t) {
-                 k.item(t.global_thread(), t.thread_idx, t.shared,
-                        t.is_last_in_block());
-               });
-    return k.total;
+  static std::int64_t partial_cells(const sim::LaunchInfo&, const Box&) {
+    return kGroupSize;
   }
 
  private:
   culike::DeviceBuffer& buf(core::FieldId id) {
     return *buffers_[static_cast<std::size_t>(id)];
-  }
-  static culike::Dim3 grid(std::size_t items) {
-    return culike::Dim3(culike::Runtime::blocks_for(items, kGroupSize));
   }
 
   culike::Runtime rt_;
@@ -711,14 +542,13 @@ class CudaPolicy : public PolicyBase {
 /// parallel for` or `acc kernels loop independent`, by model) inside a data
 /// region opened per step by upload_state: inputs map `to`, work arrays
 /// `alloc`, and results come back with `update from`. Multi-value
-/// reductions put lane 0 on the reduction clause; the rest ride along as
-/// mapped scalars.
-class OffloadPolicy : public HostFields {
+/// reductions put lane 0 on the reduction clause and the rest ride along as
+/// mapped scalars: each lane is the flat left fold.
+class OffloadPolicy : public HostFields<OffloadPolicy> {
  public:
   OffloadPolicy(sim::Model model, sim::DeviceId device, const core::Mesh& mesh,
                 std::uint64_t run_seed, unsigned)
-      : HostFields(mesh), omp4_(model == sim::Model::kOmp4),
-        rt_(model, device, run_seed) {}
+      : HostFields(mesh), rt_(model, device, run_seed) {}
 
   models::Launcher& launcher() { return rt_.launcher(); }
 
@@ -740,38 +570,7 @@ class OffloadPolicy : public HostFields {
     copy_out(id, out);
   }
 
-  template <typename Body>
-  void for_each(const sim::LaunchInfo& info, const Box& b, Body&& body) {
-    const auto cell = [&](std::int64_t x, std::int64_t y) {
-      body(y * width_ + x);
-    };
-    if (omp4_) {
-      omp4::target_parallel_for(rt_, info, nest(b), cell);
-    } else {
-      acc::kernels_loop(rt_, info, nest(b), cell);
-    }
-  }
-
-  template <typename Body>
-  LanesOf<Body> reduce(const sim::LaunchInfo& info, const Box& b,
-                       Body&& body) {
-    LanesOf<Body> out{};
-    const auto cell = [&](std::int64_t x, std::int64_t y, double& acc) {
-      const LanesOf<Body> v = body(y * width_ + x);
-      acc += v[0];
-      for (std::size_t k = 1; k < v.size(); ++k) out[k] += v[k];
-    };
-    out[0] = omp4_ ? omp4::target_parallel_reduce(rt_, info, nest(b), cell)
-                   : acc::kernels_loop_reduce(rt_, info, nest(b), cell);
-    return out;
-  }
-
  private:
-  static offload::Collapse2 nest(const Box& b) {
-    return {b.y0, b.y1, b.x0, b.x1};
-  }
-
-  bool omp4_;
   offload::Runtime rt_;
   std::optional<offload::DataScope> step_scope_;
 };

@@ -4,7 +4,7 @@
 // Port<Policy> holds the per-cell arithmetic of each kernel — classic,
 // fused, pipelined and (RegionPort) the region splits — and runs it through
 // a launch policy (ports/policies.hpp) that supplies what the programming
-// model fixes: storage, traversal, reduction combine order and transfers.
+// model fixes: storage, reduction combine order and transfers.
 // This is the paper's methodology taken literally: "TeaLeaf's core solver
 // logic and parameters were kept consistent between ports".
 //

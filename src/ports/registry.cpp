@@ -32,11 +32,9 @@ std::unique_ptr<core::SolverKernels> make_port(sim::Model model,
       return std::make_unique<Port<OffloadPolicy>>(model, device, mesh,
                                                    run_seed, host_threads);
     case sim::Model::kKokkos:
-      return std::make_unique<Port<KokkosFlatPolicy>>(model, device, mesh,
-                                                      run_seed, host_threads);
     case sim::Model::kKokkosHp:
-      return std::make_unique<Port<KokkosTeamPolicy>>(model, device, mesh,
-                                                      run_seed, host_threads);
+      return std::make_unique<Port<KokkosPolicy>>(model, device, mesh,
+                                                  run_seed, host_threads);
     case sim::Model::kRaja:
     case sim::Model::kRajaSimd:
       return std::make_unique<Port<RajaPolicy>>(model, device, mesh, run_seed,

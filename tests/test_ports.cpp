@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/model_traits.hpp"
 #include "core/phantom_kernels.hpp"
 #include "core/reference_kernels.hpp"
 #include "core/state_init.hpp"
+#include "ports/policies.hpp"
 #include "ports/registry.hpp"
 #include "util/stats.hpp"
 #include "verify/golden.hpp"
@@ -359,5 +363,218 @@ TEST(PortBehaviour, HostThreadCountDoesNotChangeResults) {
       EXPECT_EQ(ra.energy.min, rb.energy.min);
       EXPECT_EQ(ra.energy.max, rb.energy.max);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Launch-policy combine orders
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using L2 = std::array<double, 2>;
+
+/// Per-cell lanes whose sums depend on the order of the additions: values
+/// of magnitude 1, 1e8 and 1e16 with either sign, pseudo-random in the cell
+/// index (period 97), lane 1 one cell ahead of lane 0. A plain alternation
+/// of 1e16 and 1.0 does not do: every order loses the same 1.0s. The test
+/// checks that the probe tells the orders apart.
+double mixed(std::int64_t k) {
+  const auto h = static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) *
+                                            2654435761u);
+  static constexpr double kMagnitude[] = {1.0, 1e8, 1e16};
+  return (static_cast<double>((h >> 8) % 1000) + 0.5) *
+         kMagnitude[(h >> 20) % 3] * ((h & 1) ? -1.0 : 1.0);
+}
+L2 order_probe(std::int64_t i) { return {mixed(i % 97 + 4), mixed(i % 97 + 5)}; }
+
+void add(L2& acc, const L2& v) {
+  acc[0] += v[0];
+  acc[1] += v[1];
+}
+
+/// The padded indices of a box's cells, row by row.
+std::vector<std::vector<std::int64_t>> box_rows(const ports::Box& b,
+                                                std::int64_t width) {
+  std::vector<std::vector<std::int64_t>> rows;
+  for (std::int64_t y = b.y0; y < b.y1; ++y) {
+    rows.emplace_back();
+    for (std::int64_t x = b.x0; x < b.x1; ++x) rows.back().push_back(y * width + x);
+  }
+  return rows;
+}
+
+std::vector<std::int64_t> row_major(const ports::Box& b, std::int64_t width) {
+  std::vector<std::int64_t> cells;
+  for (const auto& row : box_rows(b, width)) {
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
+  return cells;
+}
+
+/// Kokkos flat functor, RAJA ReduceSum, offload reduction clause: one left
+/// fold per lane over the row-major cells.
+L2 flat_fold(const std::vector<std::int64_t>& cells) {
+  L2 acc{};
+  for (const std::int64_t i : cells) add(acc, order_probe(i));
+  return acc;
+}
+
+/// Kokkos-HP TeamPolicy: one partial per team (row), teams in order.
+L2 team_fold(const std::vector<std::vector<std::int64_t>>& rows) {
+  L2 total{};
+  for (const auto& row : rows) add(total, flat_fold(row));
+  return total;
+}
+
+/// OpenCL / CUDA two-stage reduction: 256-item groups over the row-major
+/// cells, the overspill items past the last cell holding 0.0 in local
+/// memory; each group's slots folded in item order, groups in order.
+L2 group_fold(const std::vector<std::int64_t>& cells) {
+  constexpr std::size_t kItems = 256;
+  L2 total{};
+  for (std::size_t g = 0; g < cells.size(); g += kItems) {
+    std::array<L2, kItems> local{};
+    for (std::size_t l = 0; l < kItems && g + l < cells.size(); ++l) {
+      local[l] = order_probe(cells[g + l]);
+    }
+    L2 group{};
+    for (const L2& v : local) add(group, v);
+    add(total, group);
+  }
+  return total;
+}
+
+/// OpenMP 3.0 reduce clause: lane 0 one partial per HostPool chunk of rows
+/// (HostPool's default grain), combined pairwise in chunk order; lane 1 one
+/// partial per row, rows in order.
+L2 host_rows_fold(const std::vector<std::vector<std::int64_t>>& rows) {
+  const auto n = static_cast<std::int64_t>(rows.size());
+  const std::int64_t grain = models::HostPool::effective_grain(n, 0);
+  std::vector<double> chunks;
+  for (std::int64_t r0 = 0; r0 < n; r0 += grain) {
+    double acc = 0.0;
+    for (std::int64_t r = r0; r < std::min(n, r0 + grain); ++r) {
+      for (const std::int64_t i : rows[static_cast<std::size_t>(r)]) {
+        acc += order_probe(i)[0];
+      }
+    }
+    chunks.push_back(acc);
+  }
+  const auto m = static_cast<std::int64_t>(chunks.size());
+  for (std::int64_t w = 1; w < m; w *= 2) {
+    for (std::int64_t c = 0; c + w < m; c += 2 * w) {
+      chunks[static_cast<std::size_t>(c)] +=
+          chunks[static_cast<std::size_t>(c + w)];
+    }
+  }
+  return {chunks[0], team_fold(rows)[1]};
+}
+
+template <typename Policy>
+L2 policy_reduce(sim::Model model, sim::DeviceId device,
+                 const core::Mesh& mesh, core::KernelId kernel) {
+  Policy p(model, device, mesh, 1, 2);
+  return p.reduce(core::make_launch_info(model, kernel, mesh.interior_cells()),
+                  ports::interior_box(mesh), order_probe);
+}
+
+template <typename Policy>
+void expect_row_major_visits(sim::Model model, sim::DeviceId device,
+                             const core::Mesh& mesh) {
+  Policy p(model, device, mesh, 1, 1);
+  const sim::LaunchInfo info = core::make_launch_info(
+      model, core::KernelId::kCalcResidual, mesh.interior_cells());
+  for (const ports::Box& b : {ports::interior_box(mesh), ports::ring_box(mesh),
+                              ports::padded_box(mesh)}) {
+    std::vector<std::int64_t> seen;
+    p.for_each(info, b, [&](std::int64_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, row_major(b, mesh.padded_nx()))
+        << sim::model_id(model) << " box x " << b.x0 << ".." << b.x1;
+  }
+  EXPECT_EQ(p.launcher().clock().launches(), 3u) << sim::model_id(model);
+}
+
+}  // namespace
+
+TEST(PortCombineOrder, EachPolicyFoldsInItsModelsOrder) {
+  using sim::DeviceId;
+  using sim::Model;
+  using core::KernelId;
+  // 17 cells wide: 256-cell groups span rows. Both widths leave the last
+  // group partial; 130 rows make the HostPool chunks two rows deep.
+  for (const int n : {17, 130}) {
+    SCOPED_TRACE("mesh " + std::to_string(n));
+    const core::Mesh mesh(n, n, 2);
+    const ports::Box box = ports::interior_box(mesh);
+    const auto rows = box_rows(box, mesh.padded_nx());
+    const auto cells = row_major(box, mesh.padded_nx());
+    const L2 flat = flat_fold(cells), team = team_fold(rows),
+             group = group_fold(cells), host = host_rows_fold(rows);
+    // The probe tells every pair of orders apart on both lanes.
+    const std::array<L2, 4> orders = {flat, team, group, host};
+    for (std::size_t a = 0; a < orders.size(); ++a) {
+      for (std::size_t b = a + 1; b < orders.size(); ++b) {
+        for (std::size_t k = 0; k < 2; ++k) {
+          if (a == 1 && b == 3 && k == 1) continue;  // both per-row on lane 1
+          EXPECT_NE(orders[a][k], orders[b][k]) << a << " vs " << b << " lane " << k;
+        }
+      }
+    }
+
+    const DeviceId cpu = DeviceId::kCpuSandyBridge;
+    EXPECT_EQ(policy_reduce<ports::HostRowsPolicy>(Model::kFortran, cpu, mesh,
+                                                   KernelId::kCalc2Norm),
+              host);
+    EXPECT_EQ(policy_reduce<ports::HostRowsPolicy>(Model::kOmp3Cpp, cpu, mesh,
+                                                   KernelId::kCalc2Norm),
+              host);
+    EXPECT_EQ(policy_reduce<ports::KokkosPolicy>(Model::kKokkos, cpu, mesh,
+                                                 KernelId::kCalc2Norm),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::KokkosPolicy>(Model::kKokkosHp, cpu, mesh,
+                                                 KernelId::kCalc2Norm),
+              team);
+    EXPECT_EQ(policy_reduce<ports::KokkosPolicy>(Model::kKokkosHp, cpu, mesh,
+                                                 KernelId::kFieldSummary),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::RajaPolicy>(Model::kRaja, cpu, mesh,
+                                               KernelId::kCalc2Norm),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::RajaPolicy>(Model::kRajaSimd, cpu, mesh,
+                                               KernelId::kCalc2Norm),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::OffloadPolicy>(
+                  Model::kOmp4, DeviceId::kMicKnc, mesh, KernelId::kCalc2Norm),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::OffloadPolicy>(Model::kOpenAcc,
+                                                  DeviceId::kGpuK20X, mesh,
+                                                  KernelId::kCalc2Norm),
+              flat);
+    EXPECT_EQ(policy_reduce<ports::OpenClPolicy>(Model::kOpenCl, cpu, mesh,
+                                                 KernelId::kCalc2Norm),
+              group);
+    EXPECT_EQ(policy_reduce<ports::CudaPolicy>(Model::kCuda, DeviceId::kGpuK20X,
+                                               mesh, KernelId::kCalc2Norm),
+              group);
+  }
+}
+
+TEST(PortCombineOrder, ForEachVisitsEachBoxCellOnceRowMajor) {
+  using sim::DeviceId;
+  using sim::Model;
+  for (const int n : {17, 130}) {
+    SCOPED_TRACE("mesh " + std::to_string(n));
+    const core::Mesh mesh(n, n, 2);
+    const DeviceId cpu = DeviceId::kCpuSandyBridge;
+    expect_row_major_visits<ports::HostRowsPolicy>(Model::kOmp3Cpp, cpu, mesh);
+    expect_row_major_visits<ports::KokkosPolicy>(Model::kKokkos, cpu, mesh);
+    expect_row_major_visits<ports::KokkosPolicy>(Model::kKokkosHp, cpu, mesh);
+    expect_row_major_visits<ports::RajaPolicy>(Model::kRaja, cpu, mesh);
+    expect_row_major_visits<ports::OffloadPolicy>(Model::kOmp4,
+                                                  DeviceId::kMicKnc, mesh);
+    expect_row_major_visits<ports::OpenClPolicy>(Model::kOpenCl, cpu, mesh);
+    expect_row_major_visits<ports::CudaPolicy>(Model::kCuda,
+                                               DeviceId::kGpuK20X, mesh);
   }
 }
