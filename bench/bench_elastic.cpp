@@ -16,10 +16,9 @@
 //
 // Everything here runs on the simulated clock, so every number in the
 // artifact except none (there is no wall clock in it) is deterministic;
-// `tl_report --check` holds the structural sections exact (see
-// tests/CMakeLists.txt golden.elastic.regen / telemetry.elastic.check).
-// Retry/drop tallies are a function of the fault seed, but the committed
-// artifact predates the NACK-driven protocol, so they are not compared.
+// `tl_report --check` holds the structural sections and the per-seed fault
+// tallies exact (see tests/CMakeLists.txt golden.elastic.regen /
+// telemetry.elastic.check).
 //
 //   --smoke         CI fast path: smaller heterogeneous mesh, fewer fault
 //                   seeds. The committed artifact is the smoke one.

@@ -425,6 +425,13 @@ void check_bench_elastic(Checker& c, const util::JsonValue& base,
                 n.get_number_or("survived", 0.0));
         c.exact(prefix + "identical", b.get_number_or("identical", 0.0),
                 n.get_number_or("identical", 0.0));
+        // The retransmission protocol is logical, so a schedule's tallies
+        // are a function of its seed.
+        for (const char* tally :
+             {"retries", "dropped", "duplicated", "delayed"}) {
+          c.exact(prefix + tally, b.get_number_or(tally, 0.0),
+                  n.get_number_or(tally, 0.0));
+        }
       });
   const util::JsonValue* br = base.find("resume");
   const util::JsonValue* cr = cur.find("resume");

@@ -2,6 +2,7 @@
 // bit-identity), trace-event classification, report schema/determinism,
 // OpenMetrics rendering, and the tl_report regression-check policy.
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -338,6 +339,25 @@ TEST(Check, BenchOverlapHiddenFractionIsHigherIsBetter) {
       telemetry::check(util::parse_json(base), util::parse_json(base)).pass());
   EXPECT_FALSE(
       telemetry::check(util::parse_json(base), util::parse_json(worse)).pass());
+}
+
+TEST(Check, BenchElasticFaultTalliesAreExact) {
+  const auto artifact = [](const std::array<int, 4>& t) {
+    return util::parse_json(
+        "{\"bench\": \"elastic\", \"mode\": \"smoke\", \"faults\": {\"cells\": "
+        "[{\"seed\": 1, \"survived\": 1, \"identical\": 1, \"retries\": " +
+        std::to_string(t[0]) + ", \"dropped\": " + std::to_string(t[1]) +
+        ", \"duplicated\": " + std::to_string(t[2]) +
+        ", \"delayed\": " + std::to_string(t[3]) + "}]}}");
+  };
+  const std::array<int, 4> base = {134, 97, 59, 42};
+  EXPECT_TRUE(telemetry::check(artifact(base), artifact(base)).pass());
+  for (std::size_t k = 0; k < base.size(); ++k) {
+    std::array<int, 4> other = base;
+    other[k] -= 1;
+    EXPECT_FALSE(telemetry::check(artifact(base), artifact(other)).pass())
+        << "tally " << k;
+  }
 }
 
 TEST(Analyze, RunReportMentionsKernelsAndComm) {
