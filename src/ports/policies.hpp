@@ -3,9 +3,9 @@
 //
 // Port<Policy> (ports/port.hpp) writes every kernel body once, as a per-cell
 // function of the padded flat index. Every metered launch walks its box the
-// same way, row by row with contiguous cells (for_box), under the launcher
-// of the model's layer (src/models). A policy supplies only what its model
-// decides:
+// same way, row by row with contiguous cells (for_box; HostRowsPolicy deals
+// the rows out to its HostPool), under the launcher of the model's layer
+// (src/models). A policy supplies only what its model decides:
 //   - storage: where the padded fields live (host chunk, Kokkos Views,
 //     OpenCL buffers, CUDA device buffers);
 //   - the reduction combine order its model fixes;
@@ -285,8 +285,8 @@ class HostRowsPolicy : public HostFields<HostRowsPolicy> {
  private:
   template <typename Body>
   void row(const Box& b, std::int64_t y, Body& body) {
-    for_box({b.x0, b.x1, static_cast<int>(y), static_cast<int>(y) + 1},
-            width_, body);
+    const std::int64_t base = y * width_;
+    for (std::int64_t x = b.x0; x < b.x1; ++x) body(base + x);
   }
 
   template <typename Lanes>
@@ -408,7 +408,7 @@ class KokkosPolicy : public PolicyBase<KokkosPolicy> {
 
 /// Host-chunk fields. The ListSegment indirection the paper blames for lost
 /// vectorisation is the launches' traits.indirection, and RAJA SIMD's
-/// `omp simd` annotation is a codegen-profile property; ReduceSum's
+/// `omp simd` annotation is a codegen-profile property; RAJA's ReduceSum
 /// reductions are the flat left fold.
 class RajaPolicy : public HostFields<RajaPolicy> {
  public:
