@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,6 @@ struct RegionImpl {
   std::string name;
   std::function<std::unique_ptr<core::SolverKernels>(const core::Mesh&)> make;
 };
-
-// gtest prints a parameter into each test's listed name; without this it
-// dumps the struct's bytes, heap pointers included.
-void PrintTo(const RegionImpl& impl, std::ostream* os) { *os << impl.name; }
 
 std::vector<RegionImpl> region_impls() {
   std::vector<RegionImpl> out;
