@@ -99,11 +99,12 @@ run_leg() { # run_leg <preset> <cc> <cxx>
   # 1k mixed-tenant jobs through the SolveService; the bench exits nonzero
   # on a fairness-bound breach or any service-vs-standalone checksum
   # mismatch, and the artifact is regression-checked against the committed
-  # baseline (structural counts exact, wall clock with a generous slack).
+  # baseline (structural counts exact, simulated seconds within 10%, wall
+  # clock within 300%; the bounds live in tl_report's artifact table).
   (cd "bench-smoke-${preset}-${cc}" && "../$build_dir/bench/bench_service" --smoke >/dev/null)
   "./$build_dir/tools/tl_report" \
     --check "bench-smoke-${preset}-${cc}/BENCH_service.json" \
-    --baseline=BENCH_service.json --rel-tol=3.0
+    --baseline=BENCH_service.json
 
   note "elastic gates: bench_elastic --smoke (${preset} / ${cc})"
   # Weighted heterogeneous split beats equal, seeded lossy schedules survive

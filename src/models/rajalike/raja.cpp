@@ -31,16 +31,4 @@ IndexSet make_interior_index_set(int nx, int ny, int halo_depth, int pad) {
   return iset;
 }
 
-IndexSet make_interior_range_set(int nx, int ny, int halo_depth, int pad) {
-  check_geometry(nx, ny, halo_depth, pad);
-  const int h = halo_depth;
-  const std::int64_t row_stride = nx + 2 * h;
-  IndexSet iset;
-  for (int y = h + pad; y < h + ny - pad; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * row_stride;
-    iset.push_back(RangeSegment{row + h + pad, row + h + nx - pad});
-  }
-  return iset;
-}
-
 }  // namespace rajalike

@@ -4,8 +4,8 @@
 //
 // Reproduced concepts, following Hornung et al. and the paper's section 2.3:
 //   - decoupling of loop body (lambda) from traversal (execution policy);
-//   - Segments: RangeSegment (contiguous) and ListSegment (indirection
-//     array) partition the iteration space;
+//   - Segments: ListSegments (indirection arrays) partition the iteration
+//     space;
 //   - IndexSets aggregate segments and are dispatched by forall<Policy>;
 //     TeaLeaf's halo exclusion is encoded as per-row ListSegments, which is
 //     precisely the indirection that precludes vectorisation in the paper;
@@ -18,7 +18,8 @@
 // host cost is measured over forall here by bench_micro_models.
 
 #include <cstdint>
-#include <variant>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "models/launcher.hpp"
@@ -32,47 +33,33 @@ struct seq_exec {};
 struct omp_parallel_for_exec {};
 struct omp_parallel_simd_exec {};
 
-struct RangeSegment {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-};
-
 /// Explicit indirection list: iteration visits idx[0], idx[1], ...
 struct ListSegment {
   std::vector<std::int64_t> indices;
 };
 
-using Segment = std::variant<RangeSegment, ListSegment>;
-
 class IndexSet {
  public:
-  void push_back(RangeSegment s) { segments_.emplace_back(s); }
-  void push_back(ListSegment s) { segments_.emplace_back(std::move(s)); }
+  void push_back(ListSegment s) { segments_.push_back(std::move(s)); }
 
-  const std::vector<Segment>& segments() const noexcept { return segments_; }
+  const std::vector<ListSegment>& segments() const noexcept {
+    return segments_;
+  }
 
   std::int64_t total_length() const noexcept {
     std::int64_t n = 0;
-    for (const auto& s : segments_) {
-      if (const auto* r = std::get_if<RangeSegment>(&s)) {
-        n += r->end - r->begin;
-      } else {
-        n += static_cast<std::int64_t>(std::get<ListSegment>(s).indices.size());
-      }
+    for (const ListSegment& s : segments_) {
+      n += static_cast<std::int64_t>(s.indices.size());
     }
     return n;
   }
 
-  /// True when any segment traverses through an indirection list.
-  bool has_indirection() const noexcept {
-    for (const auto& s : segments_) {
-      if (std::holds_alternative<ListSegment>(s)) return true;
-    }
-    return false;
-  }
+  /// True when any segment traverses through an indirection list (every
+  /// segment does).
+  bool has_indirection() const noexcept { return !segments_.empty(); }
 
  private:
-  std::vector<Segment> segments_;
+  std::vector<ListSegment> segments_;
 };
 
 /// Builds the TeaLeaf interior IndexSet: one ListSegment per interior row of
@@ -80,11 +67,6 @@ class IndexSet {
 /// of the interior. This is the "pre-computation of indirection lists"
 /// the paper discusses placing early in the application.
 IndexSet make_interior_index_set(int nx, int ny, int halo_depth, int pad = 0);
-
-/// Same iteration space as contiguous row ranges (no indirection): used by
-/// tests to show both traversals visit identical cells, and by ablation
-/// benches to isolate the indirection cost.
-IndexSet make_interior_range_set(int nx, int ny, int halo_depth, int pad = 0);
 
 class Context {
  public:
@@ -104,12 +86,8 @@ class Context {
                       std::is_same_v<Policy, omp_parallel_simd_exec>,
                   "unknown RAJA-like execution policy");
     launcher_.run(info, [&] {
-      for (const Segment& s : iset.segments()) {
-        if (const auto* r = std::get_if<RangeSegment>(&s)) {
-          for (std::int64_t i = r->begin; i < r->end; ++i) body(i);
-        } else {
-          for (const std::int64_t i : std::get<ListSegment>(s).indices) body(i);
-        }
+      for (const ListSegment& s : iset.segments()) {
+        for (const std::int64_t i : s.indices) body(i);
       }
     });
   }

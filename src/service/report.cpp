@@ -1,6 +1,5 @@
 #include "service/report.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -10,29 +9,8 @@
 
 namespace tl::service {
 
-namespace {
-
-std::string jnum(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  return util::strf("%.17g", v);
-}
-
-std::string jstr(std::string_view s) {
-  // Built by append rather than operator+ chaining: GCC 12's -Wrestrict
-  // emits a false positive on the char* + string + char* concatenation
-  // once inlined into the larger artifact-emission body at -O3.
-  std::string out;
-  std::string escaped = util::json_escape(s);
-  out.reserve(escaped.size() + 2);
-  out += '"';
-  out += escaped;
-  out += '"';
-  return out;
-}
-
-}  // namespace
+using util::json_number;
+using util::json_string;
 
 std::string service_artifact_json(const ServiceConfig& config,
                                   const ServiceReport& report,
@@ -54,7 +32,7 @@ std::string service_artifact_json(const ServiceConfig& config,
   std::ostringstream os;
   os << "{\n";
   os << "  \"bench\": \"service\",\n";
-  os << "  \"source\": " << jstr(info.source) << ",\n";
+  os << "  \"source\": " << json_string(info.source) << ",\n";
   os << "  \"config\": {\"small_workers\": " << config.small_workers
      << ", \"large_workers\": " << config.large_workers
      << ", \"queue_capacity\": " << config.queue_capacity
@@ -66,32 +44,32 @@ std::string service_artifact_json(const ServiceConfig& config,
      << ", \"iterations\": " << iterations
      << ", \"kernel_launches\": " << launches
      << ", \"comm_bytes\": " << comm_bytes
-     << ", \"sim_seconds\": " << jnum(sim_seconds)
+     << ", \"sim_seconds\": " << json_number(sim_seconds)
      << ", \"scenarios\": " << info.scenarios
      << ", \"verified\": " << info.verified
      << ", \"bit_identical\": " << info.bit_identical << "},\n";
   os << "  \"schedule\": {\"batches\": " << batches
      << ", \"max_wait_pops\": " << report.max_wait_pops()
      << ", \"fairness_bound\": " << report.fairness_bound
-     << ", \"wall_seconds\": " << jnum(report.wall_seconds)
+     << ", \"wall_seconds\": " << json_number(report.wall_seconds)
      << ", \"jobs_per_s\": "
-     << jnum(report.wall_seconds > 0.0
-                 ? static_cast<double>(jobs) / report.wall_seconds
-                 : 0.0)
+     << json_number(report.wall_seconds > 0.0
+                        ? static_cast<double>(jobs) / report.wall_seconds
+                        : 0.0)
      << "},\n";
   os << "  \"tenants\": [";
   for (std::size_t i = 0; i < report.tenants.size(); ++i) {
     const TenantSummary& t = report.tenants[i];
     os << (i ? ",\n    " : "\n    ");
-    os << "{\"tenant\": " << jstr(t.tenant) << ", \"jobs\": " << t.jobs
+    os << "{\"tenant\": " << json_string(t.tenant) << ", \"jobs\": " << t.jobs
        << ", \"failures\": " << t.failures
        << ", \"converged\": " << t.converged
        << ", \"iterations\": " << t.iterations
        << ", \"inner_iterations\": " << t.inner_iterations
        << ", \"kernel_launches\": " << t.kernel_launches
        << ", \"comm_bytes\": " << t.comm_bytes
-       << ", \"sim_seconds\": " << jnum(t.sim_seconds)
-       << ", \"wall_seconds\": " << jnum(t.wall_seconds)
+       << ", \"sim_seconds\": " << json_number(t.sim_seconds)
+       << ", \"wall_seconds\": " << json_number(t.wall_seconds)
        << ", \"max_wait_pops\": " << t.max_wait_pops << "}";
   }
   os << (report.tenants.empty() ? "]\n" : "\n  ]\n");

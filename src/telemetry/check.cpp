@@ -11,33 +11,144 @@
 
 namespace tl::telemetry {
 
-ArtifactKind classify(const util::JsonValue& doc) {
-  if (!doc.is_object()) return ArtifactKind::kUnknown;
-  if (doc.get_string_or("schema", "") == kReportSchema) {
-    return ArtifactKind::kRunReport;
-  }
-  const std::string bench = doc.get_string_or("bench", "");
-  if (bench == "fusion") return ArtifactKind::kBenchFusion;
-  if (bench == "fig13_overlap") return ArtifactKind::kBenchOverlap;
-  if (bench == "pipeline") return ArtifactKind::kBenchPipeline;
-  if (bench == "service") return ArtifactKind::kBenchService;
-  if (bench == "elastic") return ArtifactKind::kBenchElastic;
-  if (bench == "plan") return ArtifactKind::kBenchPlan;
-  return ArtifactKind::kUnknown;
+namespace {
+
+constexpr double kDefaultBound = 0.10;
+
+Metric lower(std::string_view field, double bound = kDefaultBound) {
+  return {field, Better::kLower, bound};
+}
+Metric higher(std::string_view field, double bound = kDefaultBound) {
+  return {field, Better::kHigher, bound};
+}
+Metric exact(std::string_view field) { return {field, Better::kExact, 0.0}; }
+
+}  // namespace
+
+// Every simulated number is deterministic, so 10% is a behaviour-change
+// bound, not a noise allowance. The only wall-clock numbers gated are the
+// service's `wall_seconds` and `jobs_per_s`, at 300%: they only have to
+// catch a collapse. A drop can never exceed 100%, so `jobs_per_s` at 300%
+// cannot fail; it is listed so its direction is on record.
+const std::vector<ArtifactSpec>& artifact_specs() {
+  static const std::vector<ArtifactSpec> specs = {
+      {"schema", kReportSchema, {},
+       {{"totals", {},
+         {lower("sim_seconds"), exact("kernel_launches"),
+          exact("total_iterations")},
+         {"achieved_gbs", "peak_gbs"}},
+        {"kernels", {"name"}, {exact("count"), lower("total_ns")},
+         {"mean_ns", "min_ns", "max_ns", "bytes", "percent", "gbs",
+          "peak_gbs", "peak_ratio", "factor_min", "factor_mean",
+          "factor_max"}},
+        {"ranks", {"rank"},
+         {exact("halo_exchanges"), exact("allreduces"), exact("comm_bytes"),
+          lower("exposed_ns"), higher("hidden_fraction")},
+         {"sim_seconds", "kernel_launches", "kernel_bytes",
+          "overlapped_exchanges", "hidden_ns"}},
+        // Service runs only: per-tenant rollups.
+        {"tenants", {"tenant"},
+         {exact("jobs"), exact("failures"), exact("iterations"),
+          exact("kernel_launches"), lower("sim_seconds")},
+         {"converged", "comm_bytes", "max_wait_pops"}}},
+       {"context", "solves", "metrics"}},
+      {"bench", "fusion", {},
+       {{"cells", {"device", "model", "solver"},
+         {lower("unfused_seconds"), lower("fused_seconds"), higher("speedup"),
+          exact("unfused_launches"), exact("fused_launches")},
+         {"unfused_gbs", "fused_gbs"}}},
+       {"mesh", "gates"}},
+      {"bench", "fig13_overlap", {"mode"},
+       {{"cells", {"scaling", "solver", "ranks"},
+         {lower("blocking_s"), lower("overlap_s"), higher("hidden_fraction")},
+         {"blocking_comm_s", "hidden_s"}}},
+       {"gates"}},
+      // Classic vs pipelined CG (bench_fig13_scaling); in full mode every
+      // number is a deterministic projection.
+      {"bench", "pipeline", {"mode"},
+       {{"cells", {"ranks"},
+         {lower("classic_total_s"), lower("pipelined_blocking_s"),
+          lower("pipelined_overlap_s"), lower("classic_allred_exposed_s"),
+          lower("pipelined_allred_exposed_s"),
+          higher("pipelined_allred_hidden_s")},
+         {}}},
+       {"gates"}},
+      // The job mix and every job's simulated timeline are deterministic.
+      // Scheduling outcomes (batches, max_wait_pops) and per-tenant wall
+      // time depend on thread interleaving; the fairness bound does not.
+      {"bench", "service", {},
+       {{"totals", {},
+         {exact("jobs"), exact("failures"), exact("iterations"),
+          exact("kernel_launches"), exact("comm_bytes"), exact("scenarios"),
+          exact("verified"), exact("bit_identical"), lower("sim_seconds")},
+         {}},
+        {"schedule", {},
+         {exact("fairness_bound"), lower("wall_seconds", 3.0),
+          higher("jobs_per_s", 3.0)},
+         {"batches", "max_wait_pops"}},
+        {"tenants", {"tenant"},
+         {exact("jobs"), exact("failures"), exact("converged"),
+          exact("iterations"), exact("inner_iterations"),
+          exact("kernel_launches"), exact("comm_bytes"), lower("sim_seconds")},
+         {"wall_seconds", "max_wait_pops"}}},
+       {"config"}},
+      // Everything runs on the simulated clock; the retransmission protocol
+      // is logical, so a fault schedule's tallies are a function of its seed.
+      {"bench", "elastic", {"mode"},
+       {{"heterogeneous.cells", {"solver"},
+         {lower("equal_seconds"), lower("weighted_seconds"), higher("speedup"),
+          exact("equal_iterations"), exact("weighted_iterations")},
+         {}},
+        {"faults.cells", {"seed"},
+         {exact("survived"), exact("identical"), exact("retries"),
+          exact("dropped"), exact("duplicated"), exact("delayed")},
+         {}},
+        {"resume.cells", {"solver", "from_ranks", "to_ranks"},
+         {exact("identical")},
+         {}}},
+       {"heterogeneous.ranks", "heterogeneous.mesh"}},
+      // The grids are committed and the planner is a pure function of them,
+      // so a different pick is a behaviour change.
+      {"bench", "plan", {},
+       {{"summary", {},
+         {exact("cells"), exact("exact"), exact("picked_best"),
+          higher("picked_best_pct"), lower("regret_pct"),
+          lower("cv_mean_pct"), lower("cv_max_pct")},
+         {"cv_series"}},
+        {"cells", {"grid", "device", "solver", "mesh"},
+         {exact("chosen"), exact("picked_best")},
+         {"oracle", "chosen_s", "oracle_s", "regret_pct", "exact"}}},
+       {"tie_tol", "gates"}},
+  };
+  return specs;
 }
 
-std::string_view artifact_kind_name(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kRunReport: return "tl-report-1";
-    case ArtifactKind::kBenchFusion: return "bench/fusion";
-    case ArtifactKind::kBenchOverlap: return "bench/fig13_overlap";
-    case ArtifactKind::kBenchPipeline: return "bench/pipeline";
-    case ArtifactKind::kBenchService: return "bench/service";
-    case ArtifactKind::kBenchElastic: return "bench/elastic";
-    case ArtifactKind::kBenchPlan: return "bench/plan";
-    case ArtifactKind::kUnknown: return "unknown";
+const ArtifactSpec* find_spec(const util::JsonValue& doc) {
+  if (!doc.is_object()) return nullptr;
+  for (const ArtifactSpec& spec : artifact_specs()) {
+    const util::JsonValue* tag = doc.find(spec.tag_field);
+    if (tag != nullptr && tag->is_string() && tag->as_string() == spec.tag) {
+      return &spec;
+    }
   }
-  return "?";
+  return nullptr;
+}
+
+std::string artifact_kind(const util::JsonValue& doc) {
+  const ArtifactSpec* spec = find_spec(doc);
+  if (spec == nullptr) return "unknown";
+  if (spec->tag_field == "bench") return "bench/" + std::string(spec->tag);
+  return std::string(spec->tag);
+}
+
+const util::JsonValue* find_path(const util::JsonValue& doc,
+                                 std::string_view path) {
+  const util::JsonValue* node = &doc;
+  for (const std::string& part : util::split(path, '.')) {
+    node = node->find(part);
+    if (node == nullptr) return nullptr;
+  }
+  return node;
 }
 
 namespace {
@@ -46,84 +157,92 @@ std::string pct(double fraction) {
   return util::strf("%.1f%%", fraction * 100.0);
 }
 
+std::string text_of(const util::JsonValue* v) {
+  if (v == nullptr) return "";
+  if (v->is_string()) return v->as_string();
+  if (v->is_number()) return util::strf("%.17g", v->as_number());
+  return "?";
+}
+
 /// Accumulates comparisons under the asymmetric regression policy.
 struct Checker {
-  const CheckOptions& opt;
   CheckResult result;
 
-  void note_regression(std::string metric, double base, double cur,
-                       std::string note) {
-    result.findings.push_back(Finding{std::move(metric), base, cur, true,
-                                      std::move(note)});
-    ++result.regressions;
+  void note(std::string metric, double base, double cur, bool regression,
+            std::string text) {
+    result.findings.push_back(
+        Finding{std::move(metric), base, cur, regression, std::move(text)});
+    if (regression) ++result.regressions;
   }
 
-  void note_improvement(std::string metric, double base, double cur,
-                        std::string note) {
-    result.findings.push_back(Finding{std::move(metric), base, cur, false,
-                                      std::move(note)});
-  }
-
-  /// Time-like: regression only when `cur` exceeds `base` by > rel_tol.
-  void slower_is_regression(const std::string& metric, double base,
-                            double cur) {
-    ++result.checked;
-    if (base <= 0.0) {
-      if (cur > 0.0) {
-        note_regression(metric, base, cur, "baseline was zero, now nonzero");
+  /// Compares one gated field. A missing number reads as zero. Only numeric
+  /// comparisons are counted; a string (plan's `chosen`) must be equal.
+  void compare(const std::string& metric, const Metric& m,
+               const util::JsonValue* b, const util::JsonValue* n) {
+    if ((b != nullptr && b->is_string()) || (n != nullptr && n->is_string())) {
+      if (text_of(b) != text_of(n)) {
+        note(metric, 0.0, 1.0, true,
+             "changed: '" + text_of(b) + "' -> '" + text_of(n) + "'");
       }
       return;
     }
-    const double rel = (cur - base) / base;
-    if (rel > opt.rel_tol) {
-      note_regression(metric, base, cur,
-                      util::strf("slower by %s (tol %s)", pct(rel).c_str(),
-                                 pct(opt.rel_tol).c_str()));
-    } else if (rel < -opt.rel_tol) {
-      note_improvement(metric, base, cur,
-                       util::strf("improved by %s", pct(-rel).c_str()));
+    const double base = b != nullptr && b->is_number() ? b->as_number() : 0.0;
+    const double cur = n != nullptr && n->is_number() ? n->as_number() : 0.0;
+    ++result.checked;
+    switch (m.better) {
+      case Better::kExact:
+        if (base != cur) {
+          note(metric, base, cur, true, "changed (exact metric)");
+        }
+        return;
+      case Better::kLower:
+        if (base <= 0.0) {
+          if (cur > 0.0) {
+            note(metric, base, cur, true, "baseline was zero, now nonzero");
+          }
+          return;
+        }
+        tolerance(metric, m.bound, base, cur, (cur - base) / base, "rose");
+        return;
+      case Better::kHigher:
+        if (base <= 0.0) return;  // nothing was gained at baseline
+        tolerance(metric, m.bound, base, cur, (base - cur) / base, "dropped");
+        return;
     }
   }
 
-  /// Higher-is-better (speedup, hidden_fraction): regression when `cur`
-  /// falls below `base` by > rel_tol.
-  void lower_is_regression(const std::string& metric, double base,
-                           double cur) {
-    ++result.checked;
-    if (base <= 0.0) return;  // nothing was gained at baseline
-    const double rel = (base - cur) / base;
-    if (rel > opt.rel_tol) {
-      note_regression(metric, base, cur,
-                      util::strf("dropped by %s (tol %s)", pct(rel).c_str(),
-                                 pct(opt.rel_tol).c_str()));
-    } else if (rel < -opt.rel_tol) {
-      note_improvement(metric, base, cur,
-                       util::strf("improved by %s", pct(-rel).c_str()));
+  /// `worse` is the relative move in the bad direction.
+  void tolerance(const std::string& metric, double bound, double base,
+                 double cur, double worse, const char* verb) {
+    if (worse > bound) {
+      note(metric, base, cur, true,
+           util::strf("%s by %s (bound %s)", verb, pct(worse).c_str(),
+                      pct(bound).c_str()));
+    } else if (worse < -bound) {
+      note(metric, base, cur, false,
+           util::strf("improved by %s", pct(-worse).c_str()));
     }
   }
 
-  /// Structural: the simulated timeline is deterministic, so any drift is a
-  /// behaviour change, not noise.
-  void exact(const std::string& metric, double base, double cur) {
-    ++result.checked;
-    if (base != cur) {
-      note_regression(metric, base, cur, "changed (exact metric)");
+  void compare_entry(const std::string& prefix, const Section& section,
+                     const util::JsonValue& b, const util::JsonValue* n) {
+    for (const Metric& m : section.gated) {
+      compare(prefix + std::string(m.field), m, b.find(m.field),
+              n != nullptr ? n->find(m.field) : nullptr);
     }
   }
 };
 
-/// Indexes an array of objects by a composite key; missing/extra entries
-/// between baseline and current are regressions.
+/// Array entries by composite key ("cpu/fortran/CG").
 using Index = std::map<std::string, const util::JsonValue*>;
 
-Index index_by(const util::JsonValue& doc, const char* array_key,
-               const std::vector<const char*>& key_fields) {
+Index index_by(const util::JsonValue* array,
+               const std::vector<std::string_view>& key_fields) {
   Index index;
-  const util::JsonValue* array = doc.find(array_key);
   if (array == nullptr || !array->is_array()) return index;
   for (const util::JsonValue& entry : array->as_array()) {
     std::string key;
-    for (const char* field : key_fields) {
+    for (std::string_view field : key_fields) {
       if (!key.empty()) key += '/';
       const util::JsonValue* v = entry.find(field);
       if (v != nullptr && v->is_number()) {
@@ -137,400 +256,61 @@ Index index_by(const util::JsonValue& doc, const char* array_key,
   return index;
 }
 
-/// Walks baseline/current indices together; `compare(key, base, cur)` runs
-/// on matched entries, set drift is an exact regression.
-template <typename Compare>
-void check_indexed(Checker& c, const std::string& what, const Index& base,
-                   const Index& cur, Compare&& compare) {
-  for (const auto& [key, base_entry] : base) {
-    const auto it = cur.find(key);
-    if (it == cur.end()) {
-      c.note_regression(what + "[" + key + "]", 1.0, 0.0,
-                        "present in baseline, missing in current");
-      continue;
-    }
-    compare(key, *base_entry, *it->second);
-  }
-  for (const auto& [key, entry] : cur) {
-    (void)entry;
-    if (base.find(key) == base.end()) {
-      c.note_regression(what + "[" + key + "]", 0.0, 1.0,
-                        "absent from baseline, present in current");
-    }
-  }
-}
-
-void check_run_report(Checker& c, const util::JsonValue& base,
-                      const util::JsonValue& cur) {
-  if (const util::JsonValue* bt = base.find("totals")) {
-    const util::JsonValue* ct = cur.find("totals");
-    const util::JsonValue empty;
-    const util::JsonValue& t = (ct != nullptr) ? *ct : empty;
-    c.slower_is_regression("totals.sim_seconds",
-                           bt->get_number_or("sim_seconds", 0.0),
-                           t.get_number_or("sim_seconds", 0.0));
-    c.exact("totals.kernel_launches",
-            bt->get_number_or("kernel_launches", 0.0),
-            t.get_number_or("kernel_launches", 0.0));
-    c.exact("totals.total_iterations",
-            bt->get_number_or("total_iterations", 0.0),
-            t.get_number_or("total_iterations", 0.0));
-  }
-  check_indexed(
-      c, "kernels", index_by(base, "kernels", {"name"}),
-      index_by(cur, "kernels", {"name"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        c.exact("kernels[" + key + "].count", b.get_number_or("count", 0.0),
-                n.get_number_or("count", 0.0));
-        c.slower_is_regression("kernels[" + key + "].total_ns",
-                               b.get_number_or("total_ns", 0.0),
-                               n.get_number_or("total_ns", 0.0));
-      });
-  check_indexed(
-      c, "ranks", index_by(base, "ranks", {"rank"}),
-      index_by(cur, "ranks", {"rank"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "ranks[" + key + "].";
-        c.exact(prefix + "halo_exchanges",
-                b.get_number_or("halo_exchanges", 0.0),
-                n.get_number_or("halo_exchanges", 0.0));
-        c.exact(prefix + "allreduces", b.get_number_or("allreduces", 0.0),
-                n.get_number_or("allreduces", 0.0));
-        c.exact(prefix + "comm_bytes", b.get_number_or("comm_bytes", 0.0),
-                n.get_number_or("comm_bytes", 0.0));
-        c.slower_is_regression(prefix + "exposed_ns",
-                               b.get_number_or("exposed_ns", 0.0),
-                               n.get_number_or("exposed_ns", 0.0));
-        c.lower_is_regression(prefix + "hidden_fraction",
-                              b.get_number_or("hidden_fraction", 0.0),
-                              n.get_number_or("hidden_fraction", 0.0));
-      });
-  // Service runs only: per-tenant rollups. A no-op for classic reports
-  // (both indices empty).
-  check_indexed(
-      c, "tenants", index_by(base, "tenants", {"tenant"}),
-      index_by(cur, "tenants", {"tenant"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "tenants[" + key + "].";
-        c.exact(prefix + "jobs", b.get_number_or("jobs", 0.0),
-                n.get_number_or("jobs", 0.0));
-        c.exact(prefix + "failures", b.get_number_or("failures", 0.0),
-                n.get_number_or("failures", 0.0));
-        c.exact(prefix + "iterations", b.get_number_or("iterations", 0.0),
-                n.get_number_or("iterations", 0.0));
-        c.exact(prefix + "kernel_launches",
-                b.get_number_or("kernel_launches", 0.0),
-                n.get_number_or("kernel_launches", 0.0));
-        c.slower_is_regression(prefix + "sim_seconds",
-                               b.get_number_or("sim_seconds", 0.0),
-                               n.get_number_or("sim_seconds", 0.0));
-      });
-}
-
-void check_bench_fusion(Checker& c, const util::JsonValue& base,
-                        const util::JsonValue& cur) {
-  check_indexed(
-      c, "cells", index_by(base, "cells", {"device", "model", "solver"}),
-      index_by(cur, "cells", {"device", "model", "solver"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "cells[" + key + "].";
-        c.slower_is_regression(prefix + "unfused_seconds",
-                               b.get_number_or("unfused_seconds", 0.0),
-                               n.get_number_or("unfused_seconds", 0.0));
-        c.slower_is_regression(prefix + "fused_seconds",
-                               b.get_number_or("fused_seconds", 0.0),
-                               n.get_number_or("fused_seconds", 0.0));
-        c.lower_is_regression(prefix + "speedup",
-                              b.get_number_or("speedup", 0.0),
-                              n.get_number_or("speedup", 0.0));
-        c.exact(prefix + "unfused_launches",
-                b.get_number_or("unfused_launches", 0.0),
-                n.get_number_or("unfused_launches", 0.0));
-        c.exact(prefix + "fused_launches",
-                b.get_number_or("fused_launches", 0.0),
-                n.get_number_or("fused_launches", 0.0));
-      });
-}
-
-void check_bench_overlap(Checker& c, const util::JsonValue& base,
-                         const util::JsonValue& cur) {
-  const std::string base_mode = base.get_string_or("mode", "");
-  const std::string cur_mode = cur.get_string_or("mode", "");
-  if (base_mode != cur_mode) {
-    c.note_regression("mode", 0.0, 0.0,
-                      "baseline mode '" + base_mode + "' vs current '" +
-                          cur_mode + "' — not comparable");
+void check_section(Checker& c, const Section& section,
+                   const util::JsonValue& baseline,
+                   const util::JsonValue& current) {
+  const std::string path(section.path);
+  const util::JsonValue* base = find_path(baseline, section.path);
+  const util::JsonValue* cur = find_path(current, section.path);
+  if (section.keys.empty()) {
+    // An object section is compared when the baseline has it.
+    if (base != nullptr) c.compare_entry(path + ".", section, *base, cur);
     return;
   }
-  check_indexed(
-      c, "cells", index_by(base, "cells", {"scaling", "solver", "ranks"}),
-      index_by(cur, "cells", {"scaling", "solver", "ranks"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "cells[" + key + "].";
-        c.slower_is_regression(prefix + "blocking_s",
-                               b.get_number_or("blocking_s", 0.0),
-                               n.get_number_or("blocking_s", 0.0));
-        c.slower_is_regression(prefix + "overlap_s",
-                               b.get_number_or("overlap_s", 0.0),
-                               n.get_number_or("overlap_s", 0.0));
-        c.lower_is_regression(prefix + "hidden_fraction",
-                              b.get_number_or("hidden_fraction", 0.0),
-                              n.get_number_or("hidden_fraction", 0.0));
-      });
-}
-
-// Classic-vs-pipelined CG artifact (bench_fig13_scaling). Every number runs
-// on the simulated clock; in the committed full-mode artifact all of them
-// are deterministic projections, so drift means a behaviour change. Times
-// are regression-checked in the slower direction and the hidden allreduce
-// share in the lower direction.
-void check_bench_pipeline(Checker& c, const util::JsonValue& base,
-                          const util::JsonValue& cur) {
-  const std::string base_mode = base.get_string_or("mode", "");
-  const std::string cur_mode = cur.get_string_or("mode", "");
-  if (base_mode != cur_mode) {
-    c.note_regression("mode", 0.0, 0.0,
-                      "baseline mode '" + base_mode + "' vs current '" +
-                          cur_mode + "' — not comparable");
-    return;
-  }
-  check_indexed(
-      c, "cells", index_by(base, "cells", {"ranks"}),
-      index_by(cur, "cells", {"ranks"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "cells[" + key + "].";
-        for (const char* field :
-             {"classic_total_s", "pipelined_blocking_s", "pipelined_overlap_s",
-              "classic_allred_exposed_s", "pipelined_allred_exposed_s"}) {
-          c.slower_is_regression(prefix + field, b.get_number_or(field, 0.0),
-                                 n.get_number_or(field, 0.0));
-        }
-        c.lower_is_regression(prefix + "pipelined_allred_hidden_s",
-                              b.get_number_or("pipelined_allred_hidden_s", 0.0),
-                              n.get_number_or("pipelined_allred_hidden_s", 0.0));
-      });
-}
-
-// Service soak artifact. The job mix and the simulated timeline of every
-// job are deterministic, so totals and per-tenant counts are exact; wall
-// clock (wall_seconds, jobs_per_s) depends on the machine and is tolerance
-// checked in the regression-only direction. Scheduling outcomes (batches,
-// max_wait_pops) depend on thread interleaving and are not checked — the
-// fairness *bound* is structural and is.
-void check_bench_service(Checker& c, const util::JsonValue& base,
-                         const util::JsonValue& cur) {
-  if (const util::JsonValue* bt = base.find("totals")) {
-    const util::JsonValue* ct = cur.find("totals");
-    const util::JsonValue empty;
-    const util::JsonValue& t = (ct != nullptr) ? *ct : empty;
-    for (const char* field : {"jobs", "failures", "iterations",
-                              "kernel_launches", "comm_bytes", "scenarios",
-                              "verified", "bit_identical"}) {
-      c.exact(std::string("totals.") + field, bt->get_number_or(field, 0.0),
-              t.get_number_or(field, 0.0));
+  // Entries are matched by key; set drift is an exact regression.
+  const Index base_index = index_by(base, section.keys);
+  const Index cur_index = index_by(cur, section.keys);
+  for (const auto& [key, entry] : base_index) {
+    const auto it = cur_index.find(key);
+    if (it == cur_index.end()) {
+      c.note(path + "[" + key + "]", 1.0, 0.0, true,
+             "present in baseline, missing in current");
+    } else {
+      c.compare_entry(path + "[" + key + "].", section, *entry, it->second);
     }
-    c.slower_is_regression("totals.sim_seconds",
-                           bt->get_number_or("sim_seconds", 0.0),
-                           t.get_number_or("sim_seconds", 0.0));
   }
-  if (const util::JsonValue* bs = base.find("schedule")) {
-    const util::JsonValue* cs = cur.find("schedule");
-    const util::JsonValue empty;
-    const util::JsonValue& s = (cs != nullptr) ? *cs : empty;
-    c.exact("schedule.fairness_bound",
-            bs->get_number_or("fairness_bound", 0.0),
-            s.get_number_or("fairness_bound", 0.0));
-    c.slower_is_regression("schedule.wall_seconds",
-                           bs->get_number_or("wall_seconds", 0.0),
-                           s.get_number_or("wall_seconds", 0.0));
-    c.lower_is_regression("schedule.jobs_per_s",
-                          bs->get_number_or("jobs_per_s", 0.0),
-                          s.get_number_or("jobs_per_s", 0.0));
+  for (const auto& [key, entry] : cur_index) {
+    if (base_index.count(key) == 0) {
+      c.note(path + "[" + key + "]", 0.0, 1.0, true,
+             "absent from baseline, present in current");
+    }
   }
-  check_indexed(
-      c, "tenants", index_by(base, "tenants", {"tenant"}),
-      index_by(cur, "tenants", {"tenant"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "tenants[" + key + "].";
-        for (const char* field : {"jobs", "failures", "converged",
-                                  "iterations", "inner_iterations",
-                                  "kernel_launches", "comm_bytes"}) {
-          c.exact(prefix + field, b.get_number_or(field, 0.0),
-                  n.get_number_or(field, 0.0));
-        }
-        c.slower_is_regression(prefix + "sim_seconds",
-                               b.get_number_or("sim_seconds", 0.0),
-                               n.get_number_or("sim_seconds", 0.0));
-      });
-}
-
-// Elastic bench artifact. Everything in it runs on the simulated clock
-// (there is no wall clock in this artifact), so the decomposition timings
-// and the survive/bit-identical flags are deterministic. Retry/drop tallies
-// race message delivery inside the injector and are informational only —
-// recorded but never compared.
-void check_bench_elastic(Checker& c, const util::JsonValue& base,
-                         const util::JsonValue& cur) {
-  const std::string base_mode = base.get_string_or("mode", "");
-  const std::string cur_mode = cur.get_string_or("mode", "");
-  if (base_mode != cur_mode) {
-    c.note_regression("mode", 0.0, 0.0,
-                      "baseline mode '" + base_mode + "' vs current '" +
-                          cur_mode + "' — not comparable");
-    return;
-  }
-  const util::JsonValue empty;
-  const util::JsonValue* bh = base.find("heterogeneous");
-  const util::JsonValue* ch = cur.find("heterogeneous");
-  check_indexed(
-      c, "heterogeneous.cells",
-      index_by(bh != nullptr ? *bh : empty, "cells", {"solver"}),
-      index_by(ch != nullptr ? *ch : empty, "cells", {"solver"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "heterogeneous.cells[" + key + "].";
-        c.slower_is_regression(prefix + "equal_seconds",
-                               b.get_number_or("equal_seconds", 0.0),
-                               n.get_number_or("equal_seconds", 0.0));
-        c.slower_is_regression(prefix + "weighted_seconds",
-                               b.get_number_or("weighted_seconds", 0.0),
-                               n.get_number_or("weighted_seconds", 0.0));
-        c.lower_is_regression(prefix + "speedup",
-                              b.get_number_or("speedup", 0.0),
-                              n.get_number_or("speedup", 0.0));
-        c.exact(prefix + "equal_iterations",
-                b.get_number_or("equal_iterations", 0.0),
-                n.get_number_or("equal_iterations", 0.0));
-        c.exact(prefix + "weighted_iterations",
-                b.get_number_or("weighted_iterations", 0.0),
-                n.get_number_or("weighted_iterations", 0.0));
-      });
-  const util::JsonValue* bf = base.find("faults");
-  const util::JsonValue* cf = cur.find("faults");
-  check_indexed(
-      c, "faults.cells",
-      index_by(bf != nullptr ? *bf : empty, "cells", {"seed"}),
-      index_by(cf != nullptr ? *cf : empty, "cells", {"seed"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "faults.cells[" + key + "].";
-        c.exact(prefix + "survived", b.get_number_or("survived", 0.0),
-                n.get_number_or("survived", 0.0));
-        c.exact(prefix + "identical", b.get_number_or("identical", 0.0),
-                n.get_number_or("identical", 0.0));
-        // The retransmission protocol is logical, so a schedule's tallies
-        // are a function of its seed.
-        for (const char* tally :
-             {"retries", "dropped", "duplicated", "delayed"}) {
-          c.exact(prefix + tally, b.get_number_or(tally, 0.0),
-                  n.get_number_or(tally, 0.0));
-        }
-      });
-  const util::JsonValue* br = base.find("resume");
-  const util::JsonValue* cr = cur.find("resume");
-  check_indexed(
-      c, "resume.cells",
-      index_by(br != nullptr ? *br : empty, "cells",
-               {"solver", "from_ranks", "to_ranks"}),
-      index_by(cr != nullptr ? *cr : empty, "cells",
-               {"solver", "from_ranks", "to_ranks"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        c.exact("resume.cells[" + key + "].identical",
-                b.get_number_or("identical", 0.0),
-                n.get_number_or("identical", 0.0));
-      });
-}
-
-void check_bench_plan(Checker& c, const util::JsonValue& base,
-                      const util::JsonValue& cur) {
-  if (const util::JsonValue* bs = base.find("summary")) {
-    const util::JsonValue* cs = cur.find("summary");
-    const util::JsonValue empty;
-    const util::JsonValue& s = (cs != nullptr) ? *cs : empty;
-    // Pick counts are exact: the grids are committed and the planner is a
-    // pure function of them, so a different pick is a behaviour change.
-    c.exact("summary.cells", bs->get_number_or("cells", 0.0),
-            s.get_number_or("cells", 0.0));
-    c.exact("summary.exact", bs->get_number_or("exact", 0.0),
-            s.get_number_or("exact", 0.0));
-    c.exact("summary.picked_best", bs->get_number_or("picked_best", 0.0),
-            s.get_number_or("picked_best", 0.0));
-    c.lower_is_regression("summary.picked_best_pct",
-                          bs->get_number_or("picked_best_pct", 0.0),
-                          s.get_number_or("picked_best_pct", 0.0));
-    c.slower_is_regression("summary.regret_pct",
-                           bs->get_number_or("regret_pct", 0.0),
-                           s.get_number_or("regret_pct", 0.0));
-    c.slower_is_regression("summary.cv_mean_pct",
-                           bs->get_number_or("cv_mean_pct", 0.0),
-                           s.get_number_or("cv_mean_pct", 0.0));
-    c.slower_is_regression("summary.cv_max_pct",
-                           bs->get_number_or("cv_max_pct", 0.0),
-                           s.get_number_or("cv_max_pct", 0.0));
-  }
-  check_indexed(
-      c, "cells", index_by(base, "cells", {"grid", "device", "solver", "mesh"}),
-      index_by(cur, "cells", {"grid", "device", "solver", "mesh"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "cells[" + key + "].";
-        if (b.get_string_or("chosen", "") != n.get_string_or("chosen", "")) {
-          c.note_regression(prefix + "chosen", 0.0, 1.0,
-                            "pick changed: " + b.get_string_or("chosen", "?") +
-                                " -> " + n.get_string_or("chosen", "?"));
-        }
-        c.exact(prefix + "picked_best", b.get_number_or("picked_best", 0.0),
-                n.get_number_or("picked_best", 0.0));
-      });
 }
 
 }  // namespace
 
 CheckResult check(const util::JsonValue& baseline,
-                  const util::JsonValue& current, const CheckOptions& opt) {
-  Checker c{opt, {}};
-  const ArtifactKind base_kind = classify(baseline);
-  const ArtifactKind cur_kind = classify(current);
-  if (base_kind != cur_kind || base_kind == ArtifactKind::kUnknown) {
-    c.note_regression(
-        "artifact", 0.0, 0.0,
-        util::strf("kind mismatch: baseline %s vs current %s",
-                   std::string(artifact_kind_name(base_kind)).c_str(),
-                   std::string(artifact_kind_name(cur_kind)).c_str()));
+                  const util::JsonValue& current) {
+  Checker c;
+  const ArtifactSpec* spec = find_spec(baseline);
+  if (spec == nullptr || spec != find_spec(current)) {
+    c.note("artifact", 0.0, 0.0, true,
+           "kind mismatch: baseline " + artifact_kind(baseline) +
+               " vs current " + artifact_kind(current));
     return std::move(c.result);
   }
-  switch (base_kind) {
-    case ArtifactKind::kRunReport:
-      check_run_report(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchFusion:
-      check_bench_fusion(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchOverlap:
-      check_bench_overlap(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchPipeline:
-      check_bench_pipeline(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchService:
-      check_bench_service(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchElastic:
-      check_bench_elastic(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchPlan:
-      check_bench_plan(c, baseline, current);
-      break;
-    case ArtifactKind::kUnknown:
-      break;
+  for (std::string_view field : spec->match) {
+    const std::string base = baseline.get_string_or(field, "");
+    const std::string cur = current.get_string_or(field, "");
+    if (base != cur) {
+      c.note(std::string(field), 0.0, 0.0, true,
+             "baseline " + std::string(field) + " '" + base +
+                 "' vs current '" + cur + "' — not comparable");
+      return std::move(c.result);
+    }
+  }
+  for (const Section& section : spec->sections) {
+    check_section(c, section, baseline, current);
   }
   return std::move(c.result);
 }
@@ -656,164 +436,77 @@ void analyze_run_report(std::ostringstream& os, const util::JsonValue& doc,
   }
 }
 
-void analyze_bench(std::ostringstream& os, const util::JsonValue& doc) {
-  const util::JsonValue* cells = doc.find("cells");
-  const std::size_t n = (cells != nullptr && cells->is_array())
-                            ? cells->as_array().size()
-                            : 0;
-  os << util::strf("bench artifact '%s' (%zu cell(s))\n",
-                   doc.get_string_or("bench", "?").c_str(), n);
-  if (classify(doc) == ArtifactKind::kBenchFusion && n > 0) {
-    double worst = 0.0, best = 0.0, sum = 0.0;
-    bool first = true;
-    for (const util::JsonValue& cell : cells->as_array()) {
-      const double s = cell.get_number_or("speedup", 0.0);
-      if (first || s < worst) worst = s;
-      if (first || s > best) best = s;
-      sum += s;
-      first = false;
-    }
-    os << util::strf("fusion speedup: min %.3fx, mean %.3fx, max %.3fx\n",
-                     worst, sum / static_cast<double>(n), best);
+
+std::string cell_text(const util::JsonValue* v) {
+  if (v == nullptr) return "-";
+  if (v->is_number()) {
+    const double x = v->as_number();
+    const bool count = x == std::floor(x) && std::abs(x) < 1e15;
+    return util::strf(count ? "%.0f" : "%.6g", x);
   }
-  if (classify(doc) == ArtifactKind::kBenchPipeline && n > 0) {
-    double best_saved = 0.0;
-    for (const util::JsonValue& cell : cells->as_array()) {
-      const double classic =
-          cell.get_number_or("classic_allred_exposed_s", 0.0);
-      const double piped =
-          cell.get_number_or("pipelined_allred_exposed_s", 0.0);
-      best_saved = std::max(best_saved, classic - piped);
-    }
-    os << util::strf(
-        "pipelined CG: up to %.6f s of exposed allreduce removed (mode %s)\n",
-        best_saved, doc.get_string_or("mode", "?").c_str());
-  }
-  if (classify(doc) == ArtifactKind::kBenchOverlap && n > 0) {
-    double best_hidden = 0.0;
-    for (const util::JsonValue& cell : cells->as_array()) {
-      best_hidden = std::max(best_hidden,
-                             cell.get_number_or("hidden_fraction", 0.0));
-    }
-    os << util::strf("overlap: best hidden fraction %.1f%% (mode %s)\n",
-                     best_hidden * 100.0,
-                     doc.get_string_or("mode", "?").c_str());
-  }
+  if (v->is_string()) return v->as_string();
+  if (v->is_bool()) return v->as_bool() ? "true" : "false";
+  return "...";
 }
 
-void analyze_bench_service(std::ostringstream& os,
-                           const util::JsonValue& doc) {
-  if (const util::JsonValue* totals = doc.find("totals")) {
-    os << util::strf(
-        "service soak: %.0f job(s), %.0f failure(s), %.0f scenario(s), "
-        "%.0f/%.0f verified bit-identical\n",
-        totals->get_number_or("jobs", 0.0),
-        totals->get_number_or("failures", 0.0),
-        totals->get_number_or("scenarios", 0.0),
-        totals->get_number_or("bit_identical", 0.0),
-        totals->get_number_or("verified", 0.0));
+std::string gate_text(const Metric& m) {
+  switch (m.better) {
+    case Better::kLower:
+      return util::strf("%s lower (%s)", std::string(m.field).c_str(),
+                        pct(m.bound).c_str());
+    case Better::kHigher:
+      return util::strf("%s higher (%s)", std::string(m.field).c_str(),
+                        pct(m.bound).c_str());
+    case Better::kExact:
+      break;
   }
-  if (const util::JsonValue* sched = doc.find("schedule")) {
-    os << util::strf(
-        "schedule: %.0f batch(es), max wait %.0f pop(s) "
-        "(fairness bound %.0f), %.2f s wall, %.1f job/s\n",
-        sched->get_number_or("batches", 0.0),
-        sched->get_number_or("max_wait_pops", 0.0),
-        sched->get_number_or("fairness_bound", 0.0),
-        sched->get_number_or("wall_seconds", 0.0),
-        sched->get_number_or("jobs_per_s", 0.0));
-  }
-  const util::JsonValue* tenants = doc.find("tenants");
-  if (tenants != nullptr && tenants->is_array() &&
-      !tenants->as_array().empty()) {
-    os << "\ntenants:\n";
-    util::Table table({"tenant", "jobs", "failures", "iterations",
-                       "sim s", "max wait"});
-    for (const util::JsonValue& t : tenants->as_array()) {
-      table.row({t.get_string_or("tenant", "?"),
-                 util::strf("%.0f", t.get_number_or("jobs", 0.0)),
-                 util::strf("%.0f", t.get_number_or("failures", 0.0)),
-                 util::strf("%.0f", t.get_number_or("iterations", 0.0)),
-                 util::strf("%.4f", t.get_number_or("sim_seconds", 0.0)),
-                 util::strf("%.0f", t.get_number_or("max_wait_pops", 0.0))});
-    }
-    os << table.render();
-  }
+  return std::string(m.field) + " exact";
 }
 
-void analyze_bench_elastic(std::ostringstream& os,
-                           const util::JsonValue& doc) {
-  os << util::strf("elastic bench (mode %s)\n",
-                   doc.get_string_or("mode", "?").c_str());
-  if (const util::JsonValue* hetero = doc.find("heterogeneous")) {
-    const util::JsonValue* cells = hetero->find("cells");
-    if (cells != nullptr && cells->is_array() && !cells->as_array().empty()) {
-      os << util::strf("heterogeneous world: %.0f rank(s), %.0f^2 mesh\n",
-                       hetero->get_number_or("ranks", 0.0),
-                       hetero->get_number_or("mesh", 0.0));
-      util::Table table({"solver", "equal s", "weighted s", "speedup"});
-      for (const util::JsonValue& c : cells->as_array()) {
-        table.row({c.get_string_or("solver", "?"),
-                   util::strf("%.6f", c.get_number_or("equal_seconds", 0.0)),
-                   util::strf("%.6f",
-                              c.get_number_or("weighted_seconds", 0.0)),
-                   util::strf("%.3fx", c.get_number_or("speedup", 0.0))});
-      }
-      os << table.render();
+/// A bench artifact: its match fields and top-level scalars on one line,
+/// then each section as a table (keys, gated fields, informational fields)
+/// followed by the section's gate.
+void render_bench(std::ostringstream& os, const ArtifactSpec& spec,
+                  const util::JsonValue& doc) {
+  os << artifact_kind(doc);
+  for (std::string_view field : spec.match) {
+    os << " " << field << "=" << doc.get_string_or(field, "?");
+  }
+  for (std::string_view path : spec.info) {
+    const util::JsonValue* v = find_path(doc, path);
+    if (v != nullptr && v->is_number()) {
+      os << " " << path << "=" << cell_text(v);
     }
   }
-  const auto tally = [&os](const util::JsonValue* section, const char* what) {
-    if (section == nullptr) return;
-    const util::JsonValue* cells = section->find("cells");
-    if (cells == nullptr || !cells->is_array()) return;
-    std::size_t n = cells->as_array().size(), good = 0;
-    for (const util::JsonValue& c : cells->as_array()) {
-      if (c.get_number_or("identical", 0.0) != 0.0) ++good;
-    }
-    os << util::strf("%s: %zu/%zu cell(s) bit-identical\n", what, good, n);
-  };
-  tally(doc.find("faults"), "fault survival");
-  tally(doc.find("resume"), "kill-and-resume");
-}
-
-void analyze_bench_plan(std::ostringstream& os, const util::JsonValue& doc) {
-  if (const util::JsonValue* s = doc.find("summary")) {
-    os << util::strf(
-        "planner regret grid: %.0f cell(s), %.0f exact argmin, "
-        "%.0f picked-best (%.1f%%), aggregate regret %.2f%%\n",
-        s->get_number_or("cells", 0.0), s->get_number_or("exact", 0.0),
-        s->get_number_or("picked_best", 0.0),
-        s->get_number_or("picked_best_pct", 0.0),
-        s->get_number_or("regret_pct", 0.0));
-    os << util::strf(
-        "held-out (leave-one-out) error: mean %.2f%%, worst %.2f%% over "
-        "%.0f multi-point series\n",
-        s->get_number_or("cv_mean_pct", 0.0),
-        s->get_number_or("cv_max_pct", 0.0),
-        s->get_number_or("cv_series", 0.0));
-  }
-  const util::JsonValue* cells = doc.find("cells");
-  if (cells != nullptr && cells->is_array()) {
-    std::size_t misses = 0;
-    for (const util::JsonValue& cell : cells->as_array()) {
-      if (cell.get_number_or("picked_best", 0.0) == 0.0) ++misses;
-    }
-    if (misses > 0) {
-      os << util::strf("%zu cell(s) missed the known-fastest config:\n",
-                       misses);
-      for (const util::JsonValue& cell : cells->as_array()) {
-        if (cell.get_number_or("picked_best", 0.0) != 0.0) continue;
-        os << util::strf("  %s %s/%s mesh %.0f: chose %s over %s "
-                         "(+%.2f%%)\n",
-                         cell.get_string_or("grid", "?").c_str(),
-                         cell.get_string_or("device", "?").c_str(),
-                         cell.get_string_or("solver", "?").c_str(),
-                         cell.get_number_or("mesh", 0.0),
-                         cell.get_string_or("chosen", "?").c_str(),
-                         cell.get_string_or("oracle", "?").c_str(),
-                         cell.get_number_or("regret_pct", 0.0));
+  os << "\n";
+  for (const Section& section : spec.sections) {
+    const util::JsonValue* node = find_path(doc, section.path);
+    std::vector<const util::JsonValue*> rows;
+    if (node != nullptr && section.keys.empty()) {
+      rows.push_back(node);
+    } else if (node != nullptr && node->is_array()) {
+      for (const util::JsonValue& entry : node->as_array()) {
+        rows.push_back(&entry);
       }
     }
+    if (rows.empty()) continue;
+    std::vector<std::string_view> columns = section.keys;
+    std::string gate;
+    for (const Metric& m : section.gated) {
+      columns.push_back(m.field);
+      gate += (gate.empty() ? "gate: " : ", ") + gate_text(m);
+    }
+    columns.insert(columns.end(), section.info.begin(), section.info.end());
+    util::Table table(std::vector<std::string>(columns.begin(), columns.end()));
+    for (const util::JsonValue* row : rows) {
+      std::vector<std::string> cells;
+      for (std::string_view column : columns) {
+        cells.push_back(cell_text(row->find(column)));
+      }
+      table.row(std::move(cells));
+    }
+    os << "\n" << section.path << ":\n" << table.render();
+    os << gate << "\n";
   }
 }
 
@@ -821,27 +514,13 @@ void analyze_bench_plan(std::ostringstream& os, const util::JsonValue& doc) {
 
 std::string analyze(const util::JsonValue& doc, const AnalyzeOptions& opt) {
   std::ostringstream os;
-  switch (classify(doc)) {
-    case ArtifactKind::kRunReport:
-      analyze_run_report(os, doc, opt);
-      break;
-    case ArtifactKind::kBenchFusion:
-    case ArtifactKind::kBenchOverlap:
-    case ArtifactKind::kBenchPipeline:
-      analyze_bench(os, doc);
-      break;
-    case ArtifactKind::kBenchService:
-      analyze_bench_service(os, doc);
-      break;
-    case ArtifactKind::kBenchElastic:
-      analyze_bench_elastic(os, doc);
-      break;
-    case ArtifactKind::kBenchPlan:
-      analyze_bench_plan(os, doc);
-      break;
-    case ArtifactKind::kUnknown:
-      os << "unknown artifact (no tl-report-1 schema or bench tag)\n";
-      break;
+  const ArtifactSpec* spec = find_spec(doc);
+  if (spec == nullptr) {
+    os << "unknown artifact (no tl-report-1 schema or bench tag)\n";
+  } else if (spec->tag == kReportSchema) {
+    analyze_run_report(os, doc, opt);
+  } else {
+    render_bench(os, *spec, doc);
   }
   return os.str();
 }

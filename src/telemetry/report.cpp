@@ -1,6 +1,5 @@
 #include "telemetry/report.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -13,29 +12,10 @@
 
 namespace tl::telemetry {
 
+using util::json_number;
+using util::json_string;
+
 namespace {
-
-/// JSON number formatting: full double precision; non-finite values (not
-/// representable in JSON) become strings, like the tl-verify reports.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  return util::strf("%.17g", v);
-}
-
-std::string jstr(std::string_view s) {
-  // Built by append rather than operator+ chaining: GCC 12's -Wrestrict
-  // emits a false positive on the char* + string + char* concatenation
-  // once inlined into the larger to_json body at -O3.
-  std::string out;
-  std::string escaped = util::json_escape(s);
-  out.reserve(escaped.size() + 2);
-  out += '"';
-  out += escaped;
-  out += '"';
-  return out;
-}
 
 const char* jbool(bool b) { return b ? "true" : "false"; }
 
@@ -103,38 +83,39 @@ void ReportBuilder::add_profiles(const util::Aggregator& aggregator) {
 std::string ReportBuilder::to_json() const {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"schema\": " << jstr(kReportSchema) << ",\n";
-  os << "  \"source\": " << jstr(context_.source) << ",\n";
+  os << "  \"schema\": " << json_string(kReportSchema) << ",\n";
+  os << "  \"source\": " << json_string(context_.source) << ",\n";
 
-  os << "  \"context\": {\"model\": " << jstr(context_.model)
-     << ", \"device\": " << jstr(context_.device)
-     << ", \"solver\": " << jstr(context_.solver)
+  os << "  \"context\": {\"model\": " << json_string(context_.model)
+     << ", \"device\": " << json_string(context_.device)
+     << ", \"solver\": " << json_string(context_.solver)
      << ", \"nx\": " << context_.nx << ", \"ny\": " << context_.ny
      << ", \"steps\": " << context_.steps << ", \"ranks\": " << context_.ranks
      << ", \"use_fused\": " << jbool(context_.use_fused)
      << ", \"overlap_comm\": " << jbool(context_.overlap_comm)
-     << ", \"isa\": " << jstr(context_.isa) << "},\n";
+     << ", \"isa\": " << json_string(context_.isa) << "},\n";
 
   int total_iterations = 0;
   for (const SolveRow& s : solves_) total_iterations += s.iterations;
-  os << "  \"totals\": {\"sim_seconds\": " << jnum(total_sim_seconds_)
-     << ", \"achieved_gbs\": " << jnum(achieved_gbs_)
+  os << "  \"totals\": {\"sim_seconds\": " << json_number(total_sim_seconds_)
+     << ", \"achieved_gbs\": " << json_number(achieved_gbs_)
      << ", \"kernel_launches\": " << kernel_launches_
      << ", \"total_iterations\": " << total_iterations
-     << ", \"peak_gbs\": " << jnum(peak_gbs_) << "},\n";
+     << ", \"peak_gbs\": " << json_number(peak_gbs_) << "},\n";
 
   os << "  \"solves\": [";
   for (std::size_t i = 0; i < solves_.size(); ++i) {
     const SolveRow& s = solves_[i];
     os << (i ? ",\n    " : "\n    ");
-    os << "{\"label\": " << jstr(s.label) << ", \"solver\": " << jstr(s.solver)
+    os << "{\"label\": " << json_string(s.label)
+       << ", \"solver\": " << json_string(s.solver)
        << ", \"converged\": " << jbool(s.converged)
        << ", \"iterations\": " << s.iterations
        << ", \"inner_iterations\": " << s.inner_iterations
        << ", \"fused_iterations\": " << s.fused_iterations
        << ", \"classic_iterations\": " << s.classic_iterations
-       << ", \"final_rr\": " << jnum(s.final_rr)
-       << ", \"sim_seconds\": " << jnum(s.sim_seconds) << "}";
+       << ", \"final_rr\": " << json_number(s.final_rr)
+       << ", \"sim_seconds\": " << json_number(s.sim_seconds) << "}";
   }
   os << (solves_.empty() ? "],\n" : "\n  ],\n");
 
@@ -143,17 +124,19 @@ std::string ReportBuilder::to_json() const {
     const util::KernelProfile& p = kernels_[i];
     const double gbs = p.bandwidth_gbs();
     os << (i ? ",\n    " : "\n    ");
-    os << "{\"name\": " << jstr(p.name) << ", \"count\": " << p.count
-       << ", \"total_ns\": " << jnum(p.total_ns)
-       << ", \"mean_ns\": " << jnum(p.mean_ns())
-       << ", \"min_ns\": " << jnum(p.min_ns)
-       << ", \"max_ns\": " << jnum(p.max_ns) << ", \"bytes\": " << p.bytes
-       << ", \"percent\": " << jnum(p.percent) << ", \"gbs\": " << jnum(gbs)
-       << ", \"peak_gbs\": " << jnum(peak_gbs_) << ", \"peak_ratio\": "
-       << jnum(peak_gbs_ > 0.0 ? gbs / peak_gbs_ : 0.0)
-       << ", \"factor_min\": " << jnum(p.factor_min)
-       << ", \"factor_mean\": " << jnum(p.factor_mean())
-       << ", \"factor_max\": " << jnum(p.factor_max) << "}";
+    os << "{\"name\": " << json_string(p.name) << ", \"count\": " << p.count
+       << ", \"total_ns\": " << json_number(p.total_ns)
+       << ", \"mean_ns\": " << json_number(p.mean_ns())
+       << ", \"min_ns\": " << json_number(p.min_ns)
+       << ", \"max_ns\": " << json_number(p.max_ns)
+       << ", \"bytes\": " << p.bytes
+       << ", \"percent\": " << json_number(p.percent)
+       << ", \"gbs\": " << json_number(gbs)
+       << ", \"peak_gbs\": " << json_number(peak_gbs_) << ", \"peak_ratio\": "
+       << json_number(peak_gbs_ > 0.0 ? gbs / peak_gbs_ : 0.0)
+       << ", \"factor_min\": " << json_number(p.factor_min)
+       << ", \"factor_mean\": " << json_number(p.factor_mean())
+       << ", \"factor_max\": " << json_number(p.factor_max) << "}";
   }
   os << (kernels_.empty() ? "],\n" : "\n  ],\n");
 
@@ -165,16 +148,17 @@ std::string ReportBuilder::to_json() const {
     const double wire = exposed + hidden;
     os << (i ? ",\n    " : "\n    ");
     os << "{\"rank\": " << r.rank
-       << ", \"sim_seconds\": " << jnum(r.sim_seconds)
+       << ", \"sim_seconds\": " << json_number(r.sim_seconds)
        << ", \"kernel_launches\": " << r.kernel_launches
        << ", \"kernel_bytes\": " << r.kernel_bytes
        << ", \"halo_exchanges\": " << r.comm.halo_exchanges
        << ", \"allreduces\": " << r.comm.allreduces
        << ", \"comm_bytes\": " << r.comm.bytes
-       << ", \"exposed_ns\": " << jnum(exposed)
+       << ", \"exposed_ns\": " << json_number(exposed)
        << ", \"overlapped_exchanges\": " << r.comm.overlapped_exchanges
-       << ", \"hidden_ns\": " << jnum(hidden) << ", \"hidden_fraction\": "
-       << jnum(wire > 0.0 ? hidden / wire : 0.0) << "}";
+       << ", \"hidden_ns\": " << json_number(hidden)
+       << ", \"hidden_fraction\": "
+       << json_number(wire > 0.0 ? hidden / wire : 0.0) << "}";
   }
   os << (ranks_.empty() ? "],\n" : "\n  ],\n");
 
@@ -183,13 +167,13 @@ std::string ReportBuilder::to_json() const {
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
       const TenantRow& t = tenants_[i];
       os << (i ? ",\n    " : "\n    ");
-      os << "{\"tenant\": " << jstr(t.tenant) << ", \"jobs\": " << t.jobs
+      os << "{\"tenant\": " << json_string(t.tenant) << ", \"jobs\": " << t.jobs
          << ", \"failures\": " << t.failures
          << ", \"converged\": " << t.converged
          << ", \"iterations\": " << t.iterations
          << ", \"kernel_launches\": " << t.kernel_launches
          << ", \"comm_bytes\": " << t.comm_bytes
-         << ", \"sim_seconds\": " << jnum(t.sim_seconds)
+         << ", \"sim_seconds\": " << json_number(t.sim_seconds)
          << ", \"max_wait_pops\": " << t.max_wait_pops << "}";
     }
     os << "\n  ],\n";
@@ -198,27 +182,28 @@ std::string ReportBuilder::to_json() const {
   os << "  \"metrics\": {\n    \"counters\": {";
   bool first = true;
   for (const auto& [key, value] : registry_.counters()) {
-    os << (first ? "" : ", ") << jstr(key) << ": " << jnum(value);
+    os << (first ? "" : ", ") << json_string(key) << ": " << json_number(value);
     first = false;
   }
   os << "},\n    \"gauges\": {";
   first = true;
   for (const auto& [key, value] : registry_.gauges()) {
-    os << (first ? "" : ", ") << jstr(key) << ": " << jnum(value);
+    os << (first ? "" : ", ") << json_string(key) << ": " << json_number(value);
     first = false;
   }
   os << "},\n    \"histograms\": {";
   first = true;
   for (const auto& [key, h] : registry_.histograms()) {
-    os << (first ? "" : ", ") << jstr(key) << ": {\"bounds\": [";
+    os << (first ? "" : ", ") << json_string(key) << ": {\"bounds\": [";
     for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      os << (i ? ", " : "") << jnum(h.upper_bounds[i]);
+      os << (i ? ", " : "") << json_number(h.upper_bounds[i]);
     }
     os << "], \"counts\": [";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       os << (i ? ", " : "") << h.counts[i];
     }
-    os << "], \"sum\": " << jnum(h.sum) << ", \"count\": " << h.count << "}";
+    os << "], \"sum\": " << json_number(h.sum) << ", \"count\": " << h.count
+       << "}";
     first = false;
   }
   os << "}\n  }\n}\n";

@@ -10,6 +10,8 @@
 
 namespace tl::tune {
 
+using util::json_number;
+
 double ScalingFit::eval(double x) const {
   double v = c0;
   if (c1 != 0.0) {
@@ -57,8 +59,6 @@ const FittedSeries* ModelCatalog::find(const SeriesKey& key) const {
 
 namespace {
 
-std::string jnum(double v) { return util::strf("%.17g", v); }
-
 [[noreturn]] void malformed(const std::string& what) {
   throw std::runtime_error("tl-models: malformed catalog: " + what);
 }
@@ -100,18 +100,19 @@ std::string ModelCatalog::to_json() const {
        << "\", \"solver\": \"" << util::json_escape(s.key.solver)
        << "\", \"variant\": \"" << util::json_escape(s.key.variant)
        << "\", \"x\": \"" << util::json_escape(s.key.x) << "\",\n"
-       << "     \"fit\": {\"c0\": " << jnum(s.fit.c0)
-       << ", \"c1\": " << jnum(s.fit.c1) << ", \"a\": " << jnum(s.fit.a)
+       << "     \"fit\": {\"c0\": " << json_number(s.fit.c0)
+       << ", \"c1\": " << json_number(s.fit.c1)
+       << ", \"a\": " << json_number(s.fit.a)
        << ", \"b\": " << s.fit.b << "},\n"
-       << "     \"quality\": {\"r2\": " << jnum(s.quality.r2)
-       << ", \"rel_rss\": " << jnum(s.quality.rel_rss)
-       << ", \"cv_rel_err\": " << jnum(s.quality.cv_rel_err)
-       << ", \"cv_max_rel_err\": " << jnum(s.quality.cv_max_rel_err)
+       << "     \"quality\": {\"r2\": " << json_number(s.quality.r2)
+       << ", \"rel_rss\": " << json_number(s.quality.rel_rss)
+       << ", \"cv_rel_err\": " << json_number(s.quality.cv_rel_err)
+       << ", \"cv_max_rel_err\": " << json_number(s.quality.cv_max_rel_err)
        << ", \"points\": " << s.quality.points
        << ", \"fallback\": " << (s.quality.fallback ? "true" : "false")
        << "},\n"
-       << "     \"domain\": {\"x_min\": " << jnum(s.x_min)
-       << ", \"x_max\": " << jnum(s.x_max) << "}}";
+       << "     \"domain\": {\"x_min\": " << json_number(s.x_min)
+       << ", \"x_max\": " << json_number(s.x_max) << "}}";
   }
   os << (first ? "]\n}\n" : "\n  ]\n}\n");
   return os.str();

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/string_util.hpp"
@@ -34,6 +35,17 @@ std::optional<std::string> Cli::get(const std::string& flag) const {
   const auto it = flags_.find(to_lower(flag));
   if (it == flags_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<std::string> Cli::unknown_flag(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [flag, value] : flags_) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      return flag;
+    }
+  }
+  return std::nullopt;
 }
 
 std::string Cli::get_or(const std::string& flag, const std::string& fallback) const {

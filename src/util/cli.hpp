@@ -2,9 +2,11 @@
 // Minimal CLI flag parser shared by examples and bench binaries.
 // Supports --key=value, --key value, and bare --flag forms.
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tl::util {
@@ -21,6 +23,10 @@ class Cli {
   std::string get_or(const std::string& flag, const std::string& fallback) const;
   long get_long_or(const std::string& flag, long fallback) const;
   double get_double_or(const std::string& flag, double fallback) const;
+
+  /// The first flag given that is not in `known`, if any.
+  std::optional<std::string> unknown_flag(
+      std::initializer_list<std::string_view> known) const;
 
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const noexcept { return positional_; }

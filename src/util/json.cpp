@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -26,6 +27,25 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) {
+    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
+  }
+  return strf("%.17g", v);
+}
+
+std::string json_string(std::string_view s) {
+  // Built by append rather than operator+ chaining: GCC 12's -Wrestrict
+  // emits a false positive on char* + string + char* once inlined.
+  std::string out;
+  const std::string escaped = json_escape(s);
+  out.reserve(escaped.size() + 2);
+  out += '"';
+  out += escaped;
+  out += '"';
   return out;
 }
 

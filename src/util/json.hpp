@@ -23,6 +23,14 @@ namespace tl::util {
 /// included). Shared by every JSON writer in the repo.
 std::string json_escape(std::string_view s);
 
+/// A JSON number with full double precision (`%.17g`, so every double
+/// round-trips). Non-finite values, which JSON cannot represent, become the
+/// strings "inf", "-inf" and "nan".
+std::string json_number(double v);
+
+/// `s` escaped and quoted as a JSON string literal.
+std::string json_string(std::string_view s);
+
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

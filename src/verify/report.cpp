@@ -10,6 +10,8 @@
 
 namespace tl::verify {
 
+using util::json_number;
+
 namespace {
 
 std::string fmt_err(double rel_err) {
@@ -20,22 +22,15 @@ std::string cell_text(const CellResult& c) {
   return std::string(c.pass ? "pass " : "FAIL ") + fmt_err(c.max_rel_err);
 }
 
-/// JSON number formatting: full double precision, with non-finite values
-/// (not representable in JSON) emitted as strings.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  return util::strf("%.17g", v);
-}
-
 void append_metric_json(std::ostringstream& os, const MetricResult& m) {
   os << "{\"metric\":\"" << metric_name(m.metric) << "\""
      << ",\"pass\":" << (m.pass ? "true" : "false")
-     << ",\"value\":" << jnum(m.cmp.a) << ",\"reference\":" << jnum(m.cmp.b)
-     << ",\"abs_err\":" << jnum(m.cmp.abs_err)
-     << ",\"rel_err\":" << jnum(m.cmp.rel_err)
-     << ",\"tol_abs\":" << jnum(m.tol.abs) << ",\"tol_rel\":" << jnum(m.tol.rel);
+     << ",\"value\":" << json_number(m.cmp.a)
+     << ",\"reference\":" << json_number(m.cmp.b)
+     << ",\"abs_err\":" << json_number(m.cmp.abs_err)
+     << ",\"rel_err\":" << json_number(m.cmp.rel_err)
+     << ",\"tol_abs\":" << json_number(m.tol.abs)
+     << ",\"tol_rel\":" << json_number(m.tol.rel);
   if (!m.detail.empty()) os << ",\"detail\":\"" << json_escape(m.detail) << "\"";
   os << "}";
 }
@@ -144,7 +139,7 @@ std::string to_json(const ConformanceReport& report) {
        << ",\"device\":\"" << sim::device_short_name(c.device) << "\""
        << ",\"solver\":\"" << core::solver_name(c.solver) << "\""
        << ",\"pass\":" << (c.pass ? "true" : "false")
-       << ",\"max_rel_err\":" << jnum(c.max_rel_err) << ",\"metrics\":[";
+       << ",\"max_rel_err\":" << json_number(c.max_rel_err) << ",\"metrics\":[";
     for (std::size_t j = 0; j < c.metrics.size(); ++j) {
       if (j != 0) os << ",";
       append_metric_json(os, c.metrics[j]);

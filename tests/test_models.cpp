@@ -323,21 +323,22 @@ TEST(KokkosLike, DeepCopyChargesOnlyOnOffloadDevices) {
 
 TEST(RajaLike, InteriorIndexSetMatchesRangeSet) {
   const auto list = rajalike::make_interior_index_set(7, 5, 2);
-  const auto range = rajalike::make_interior_range_set(7, 5, 2);
   EXPECT_TRUE(list.has_indirection());
-  EXPECT_FALSE(range.has_indirection());
   EXPECT_EQ(list.total_length(), 35);
-  EXPECT_EQ(list.total_length(), range.total_length());
 
   rajalike::Context ctx(s::Model::kRaja, s::DeviceId::kCpuSandyBridge);
-  std::vector<int> a(11 * 9, 0), b(11 * 9, 0);
+  std::vector<int> a(11 * 9, 0);
   ctx.forall<rajalike::seq_exec>(tiny_launch(), list, [&](std::int64_t i) {
     ++a[static_cast<std::size_t>(i)];
   });
-  ctx.forall<rajalike::seq_exec>(tiny_launch(), range, [&](std::int64_t i) {
-    ++b[static_cast<std::size_t>(i)];
-  });
-  EXPECT_EQ(a, b);
+  // Each interior cell is visited exactly once, and no halo cell is.
+  for (int y = 0; y < 9; ++y) {
+    for (int x = 0; x < 11; ++x) {
+      const bool interior = x >= 2 && x < 9 && y >= 2 && y < 7;
+      EXPECT_EQ(a[static_cast<std::size_t>(y * 11 + x)], interior ? 1 : 0)
+          << "cell (" << x << ", " << y << ")";
+    }
+  }
   EXPECT_EQ(std::accumulate(a.begin(), a.end(), 0), 35);
 }
 

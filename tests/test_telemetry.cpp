@@ -2,10 +2,12 @@
 // bit-identity), trace-event classification, report schema/determinism,
 // OpenMetrics rendering, and the tl_report regression-check policy.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -249,7 +251,7 @@ TEST(Report, JsonIsSchemaValidAndDeterministic) {
   const double ratio = kernels->as_array()[0].get_number_or("peak_ratio", -1);
   EXPECT_NEAR(ratio, gbs / peak, 1e-12);
   // The document classifies as a run report for tl_report.
-  EXPECT_EQ(telemetry::classify(parsed), telemetry::ArtifactKind::kRunReport);
+  EXPECT_EQ(telemetry::artifact_kind(parsed), "tl-report-1");
 }
 
 TEST(Report, OpenMetricsRenderingLints) {
@@ -321,7 +323,7 @@ TEST(Check, ArtifactKindMismatchIsARegression) {
   const JsonValue report = util::parse_json(small_report(1000.0).to_json());
   const JsonValue fusion =
       util::parse_json("{\"bench\": \"fusion\", \"cells\": []}");
-  EXPECT_EQ(telemetry::classify(fusion), telemetry::ArtifactKind::kBenchFusion);
+  EXPECT_EQ(telemetry::artifact_kind(fusion), "bench/fusion");
   EXPECT_FALSE(telemetry::check(report, fusion).pass());
 }
 
@@ -358,6 +360,188 @@ TEST(Check, BenchElasticFaultTalliesAreExact) {
     EXPECT_FALSE(telemetry::check(artifact(base), artifact(other)).pass())
         << "tally " << k;
   }
+}
+
+// -- The artifact table over the committed artifacts -------------------------
+
+constexpr std::array<const char*, 7> kCommittedArtifacts = {
+    "BENCH_report.json",  "BENCH_fusion.json",  "BENCH_overlap.json",
+    "BENCH_pipeline.json", "BENCH_service.json", "BENCH_elastic.json",
+    "BENCH_plan.json"};
+
+JsonValue load_committed(const char* name) {
+  std::ifstream in(std::string(TLM_SOURCE_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return util::parse_json(text.str());
+}
+
+/// Dot paths of every numeric leaf; array elements are written "[]".
+void numeric_leaves(const JsonValue& v, const std::string& path,
+                    std::vector<std::string>& out) {
+  if (v.is_number()) {
+    out.push_back(path);
+  } else if (v.is_array()) {
+    for (const JsonValue& item : v.as_array()) {
+      numeric_leaves(item, path + "[]", out);
+    }
+  } else if (v.is_object()) {
+    for (const auto& [key, item] : v.as_object()) {
+      numeric_leaves(item, path.empty() ? key : path + "." + key, out);
+    }
+  }
+}
+
+bool listed(const std::vector<std::string_view>& names, std::string_view x) {
+  return std::find(names.begin(), names.end(), x) != names.end();
+}
+
+/// Whether the table entry gates `leaf` or lists it as informational.
+bool covered(const telemetry::ArtifactSpec& spec, const std::string& leaf) {
+  for (std::string_view info : spec.info) {
+    if (leaf == info || leaf.rfind(std::string(info) + ".", 0) == 0 ||
+        leaf.rfind(std::string(info) + "[]", 0) == 0) {
+      return true;
+    }
+  }
+  for (const telemetry::Section& section : spec.sections) {
+    const std::string prefix =
+        std::string(section.path) + (section.keys.empty() ? "." : "[].");
+    if (leaf.rfind(prefix, 0) != 0) continue;
+    const std::string field = leaf.substr(prefix.size());
+    if (listed(section.keys, field) || listed(section.info, field)) {
+      return true;
+    }
+    for (const telemetry::Metric& m : section.gated) {
+      if (m.field == field) return true;
+    }
+  }
+  return false;
+}
+
+/// A copy of `v` with the node at `target` replaced by `with`.
+JsonValue replaced(const JsonValue& v, const JsonValue* target,
+                   const JsonValue& with) {
+  if (&v == target) return with;
+  if (v.is_array()) {
+    std::vector<JsonValue> items;
+    for (const JsonValue& item : v.as_array()) {
+      items.push_back(replaced(item, target, with));
+    }
+    return JsonValue::make_array(std::move(items));
+  }
+  if (v.is_object()) {
+    std::vector<std::pair<std::string, JsonValue>> members;
+    for (const auto& [key, item] : v.as_object()) {
+      members.emplace_back(key, replaced(item, target, with));
+    }
+    return JsonValue::make_object(std::move(members));
+  }
+  return v;
+}
+
+/// The objects a section gates: the object itself, or each array entry.
+std::vector<const JsonValue*> section_entries(const JsonValue& doc,
+                                              const telemetry::Section& s) {
+  std::vector<const JsonValue*> entries;
+  const JsonValue* node = telemetry::find_path(doc, s.path);
+  if (node != nullptr && s.keys.empty()) {
+    entries.push_back(node);
+  } else if (node != nullptr && node->is_array()) {
+    for (const JsonValue& entry : node->as_array()) entries.push_back(&entry);
+  }
+  return entries;
+}
+
+TEST(Check, TableCoversEveryNumericLeafOfTheCommittedArtifacts) {
+  std::vector<const telemetry::ArtifactSpec*> seen;
+  for (const char* name : kCommittedArtifacts) {
+    const JsonValue doc = load_committed(name);
+    const telemetry::ArtifactSpec* spec = telemetry::find_spec(doc);
+    ASSERT_NE(spec, nullptr) << name;
+    seen.push_back(spec);
+    std::vector<std::string> leaves;
+    numeric_leaves(doc, "", leaves);
+    EXPECT_FALSE(leaves.empty()) << name;
+    for (const std::string& leaf : leaves) {
+      EXPECT_TRUE(covered(*spec, leaf))
+          << name << ": numeric field '" << leaf
+          << "' is neither gated nor listed as informational";
+    }
+  }
+  // One committed artifact per table entry.
+  EXPECT_EQ(seen.size(), telemetry::artifact_specs().size());
+  for (const telemetry::ArtifactSpec& spec : telemetry::artifact_specs()) {
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), &spec), 1) << spec.tag;
+  }
+}
+
+TEST(Check, EveryGatedFieldFailsJustPastItsBound) {
+  using telemetry::Better;
+  std::vector<std::string> unfailable;
+  for (const char* name : kCommittedArtifacts) {
+    const JsonValue doc = load_committed(name);
+    const telemetry::ArtifactSpec* spec = telemetry::find_spec(doc);
+    ASSERT_NE(spec, nullptr) << name;
+    for (const telemetry::Section& section : spec->sections) {
+      const std::vector<const JsonValue*> entries =
+          section_entries(doc, section);
+      if (entries.empty()) continue;  // e.g. run-report tenants
+      for (const telemetry::Metric& m : section.gated) {
+        const std::string what =
+            std::string(name) + " " + std::string(section.path) + "." +
+            std::string(m.field);
+        int failable = 0;
+        for (const JsonValue* entry : entries) {
+          const JsonValue* field = entry->find(m.field);
+          ASSERT_NE(field, nullptr) << what;
+          const auto verdict = [&](const JsonValue& value) {
+            return telemetry::check(doc, replaced(doc, field, value)).pass();
+          };
+          if (field->is_string()) {
+            ++failable;
+            EXPECT_FALSE(verdict(
+                JsonValue::make_string(field->as_string() + "_x")))
+                << what;
+            continue;
+          }
+          const double base = field->as_number();
+          const auto moved = [&](double rel) {
+            return JsonValue::make_number(base * (1.0 + rel));
+          };
+          const double eps = 1e-6;
+          switch (m.better) {
+            case Better::kExact:
+              ++failable;
+              EXPECT_FALSE(verdict(JsonValue::make_number(base + 1.0)))
+                  << what;
+              break;
+            case Better::kLower:
+              ++failable;
+              if (base <= 0.0) {
+                EXPECT_FALSE(verdict(JsonValue::make_number(1e-9))) << what;
+                break;
+              }
+              EXPECT_TRUE(verdict(moved(m.bound - eps))) << what;
+              EXPECT_FALSE(verdict(moved(m.bound + eps))) << what;
+              break;
+            case Better::kHigher:
+              // Nothing gained at baseline, or a bound no drop can exceed.
+              if (base <= 0.0 || m.bound >= 1.0) break;
+              ++failable;
+              EXPECT_TRUE(verdict(moved(-(m.bound - eps)))) << what;
+              EXPECT_FALSE(verdict(moved(-(m.bound + eps)))) << what;
+              break;
+          }
+        }
+        if (failable == 0) unfailable.push_back(what);
+      }
+    }
+  }
+  // The wall-clock throughput gate only records its direction: a relative
+  // drop never exceeds 100%.
+  EXPECT_EQ(unfailable, std::vector<std::string>{
+                            "BENCH_service.json schedule.jobs_per_s"});
 }
 
 TEST(Analyze, RunReportMentionsKernelsAndComm) {

@@ -345,6 +345,13 @@ TEST(Cli, BareFlagGreedilyConsumesNextNonFlag) {
   EXPECT_TRUE(cli.positional().empty());
 }
 
+TEST(Cli, UnknownFlagNamesTheFirstFlagNotListed) {
+  const char* argv[] = {"prog", "--check", "a.json", "--Rel-Tol=3", "--top=2"};
+  const u::Cli cli(5, argv);
+  EXPECT_EQ(cli.unknown_flag({"check", "top"}), "rel-tol");  // lower-cased
+  EXPECT_FALSE(cli.unknown_flag({"check", "top", "rel-tol"}).has_value());
+}
+
 TEST(Cli, TypeErrorThrows) {
   const char* argv[] = {"prog", "--nx=abc"};
   const u::Cli cli(2, argv);
@@ -537,6 +544,18 @@ TEST(Json, EscapeRoundTripsThroughParser) {
   const u::JsonValue v =
       u::parse_json("{\"k\": \"" + u::json_escape(nasty) + "\"}");
   EXPECT_EQ(v.get_string_or("k", ""), nasty);
+}
+
+TEST(Json, NumbersRoundTripAndNonFiniteOnesBecomeStrings) {
+  EXPECT_EQ(u::json_number(1.5), "1.5");
+  EXPECT_EQ(u::json_number(4096.0), "4096");
+  EXPECT_EQ(u::json_number(0.1), "0.10000000000000001");
+  EXPECT_EQ(u::parse_json(u::json_number(0.1)).as_number(), 0.1);
+  EXPECT_EQ(u::json_number(INFINITY), "\"inf\"");
+  EXPECT_EQ(u::json_number(-INFINITY), "\"-inf\"");
+  EXPECT_EQ(u::json_number(NAN), "\"nan\"");
+  EXPECT_EQ(u::parse_json(u::json_number(NAN)).as_string(), "nan");
+  EXPECT_EQ(u::json_string("a\"b"), "\"a\\\"b\"");
 }
 
 TEST(Json, RejectsMalformedInputWithOffset) {

@@ -1,17 +1,19 @@
 // tl_report: run-report analysis and regression checking.
 //
 //   tl_report [--top=N] FILE...
-//       Analyze each artifact: top-N kernels with roofline ratios, per-rank
-//       comm exposure, fusion/overlap effectiveness. Accepts tl-report-1 run
-//       reports and the committed bench artifacts (BENCH_fusion.json,
-//       BENCH_overlap.json).
+//       Analyze each artifact. A tl-report-1 run report shows the top-N
+//       kernels with roofline ratios, per-rank comm exposure and
+//       fusion/overlap effectiveness; a BENCH_*.json artifact shows each
+//       section of its table entry with the section's gate.
 //
-//   tl_report --check --baseline=BASE [--rel-tol=0.10] CURRENT
+//   tl_report --check --baseline=BASE CURRENT
 //       Regression gate: compare CURRENT against BASE (same artifact kind).
-//       Time-like metrics fail only when slower than baseline by more than
-//       the relative tolerance; launch/iteration counts and kernel/cell sets
-//       are exact (the simulated timeline is deterministic). Exits 0 on
-//       pass, 1 on regression, 2 on usage or parse errors.
+//       Every gated field carries its direction and relative bound in the
+//       artifact table (src/telemetry/check.cpp): a lower- or
+//       higher-is-better metric fails only past its bound in its bad
+//       direction; launch/iteration counts, picks and kernel/cell sets are
+//       exact. Exits 0 on pass, 1 on regression, 2 on usage or parse errors
+//       (an unknown flag is a usage error).
 
 #include <cstdio>
 #include <fstream>
@@ -30,7 +32,7 @@ namespace {
 int usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--top=N] FILE...\n"
-               "       %s --check --baseline=BASE [--rel-tol=T] CURRENT\n",
+               "       %s --check --baseline=BASE CURRENT\n",
                program, program);
   return 2;
 }
@@ -56,6 +58,10 @@ bool load_json(const std::string& path, util::JsonValue& out) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  if (const auto flag = cli.unknown_flag({"check", "baseline", "top"})) {
+    std::fprintf(stderr, "tl_report: unknown option --%s\n", flag->c_str());
+    return usage(cli.program().c_str());
+  }
 
   // Operands: positionals, plus a value the parser attached to the bare
   // --check flag (`--check FILE` binds FILE to the flag).
@@ -70,23 +76,13 @@ int main(int argc, char** argv) {
     if (baseline_path.empty() || files.size() != 1) {
       return usage(cli.program().c_str());
     }
-    telemetry::CheckOptions opt;
-    opt.rel_tol = cli.get_double_or("rel-tol", opt.rel_tol);
-    if (opt.rel_tol < 0.0) {
-      std::fprintf(stderr, "tl_report: --rel-tol must be >= 0\n");
-      return 2;
-    }
-
     util::JsonValue baseline, current;
     if (!load_json(baseline_path, baseline) || !load_json(files[0], current)) {
       return 2;
     }
-    const telemetry::CheckResult result =
-        telemetry::check(baseline, current, opt);
+    const telemetry::CheckResult result = telemetry::check(baseline, current);
     std::printf("check %s (%s) vs baseline %s\n", files[0].c_str(),
-                std::string(telemetry::artifact_kind_name(
-                                telemetry::classify(current)))
-                    .c_str(),
+                telemetry::artifact_kind(current).c_str(),
                 baseline_path.c_str());
     std::fputs(telemetry::format_check(result).c_str(), stdout);
     return result.pass() ? 0 : 1;
