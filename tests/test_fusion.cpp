@@ -3,13 +3,16 @@
 // classic paths (reference kernels and every supported model x device pair,
 // compared under verify::Tolerance), capability gating (a caps() == 0 port
 // must never receive a fused call), bit-identity of the SIMD and scalar row
-// primitives, and thread-count invariance of the pooled reductions.
+// primitives, thread-count invariance of the pooled reductions, and
+// bit-identity of the fused CG kernel split into the overlap regions.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -18,6 +21,7 @@
 #include "core/solvers.hpp"
 #include "core/state_init.hpp"
 #include "ports/registry.hpp"
+#include "region_sweeps.hpp"
 #include "verify/tolerance.hpp"
 
 using namespace tl;
@@ -483,5 +487,55 @@ TEST_P(FusedPortPair, FusedMatchesUnfusedForEverySolver) {
                  verify::Tolerance{0.0, 1e-9, 0}, tag + " temperature");
   }
 }
+
+// ---------------------------------------------------------------------------
+// Region split of the fused CG kernel: interior + the four edge regions must
+// give the full sweep's pw, ww and w bit for bit (see test_regions.cpp).
+// ---------------------------------------------------------------------------
+
+/// A region implementation that gtest prints by name. A bare RegionImpl
+/// prints as its raw bytes, which begin with a heap address that ASLR moves
+/// from run to run, so the case names listed for it change between
+/// discoveries; the cases on this parameter keep one name.
+struct NamedRegionImpl {
+  region_sweeps::RegionImpl impl;
+};
+
+void PrintTo(const NamedRegionImpl& p, std::ostream* os) { *os << p.impl.name; }
+
+std::vector<NamedRegionImpl> named_region_impls() {
+  std::vector<NamedRegionImpl> out;
+  for (auto& impl : region_sweeps::region_impls()) {
+    out.push_back({std::move(impl)});
+  }
+  return out;
+}
+
+std::string named_impl_name(
+    const testing::TestParamInfo<NamedRegionImpl>& info) {
+  return info.param.impl.name;
+}
+
+class NamedRegionSweeps : public testing::TestWithParam<NamedRegionImpl> {};
+
+INSTANTIATE_TEST_SUITE_P(AllAdvertising, NamedRegionSweeps,
+                         testing::ValuesIn(named_region_impls()),
+                         named_impl_name);
+
+TEST_P(NamedRegionSweeps, CgFusedSplitIsBitIdentical) {
+  auto full = region_sweeps::make_ready(GetParam().impl, 24, 20);
+  auto split = region_sweeps::make_ready(GetParam().impl, 24, 20);
+  for (auto* k : {full.get(), split.get()}) {
+    k->cg_init();
+    k->halo_update(core::kMaskP, 1);
+  }
+  const core::CgFusedW f = full->cg_calc_w_fused();
+  region_sweeps::sweep_regions([&](core::Region r) { split->cg_calc_w_fused_region(r); });
+  const core::CgFusedW g = split->cg_calc_w_fused_region_finish();
+  EXPECT_EQ(f.pw, g.pw);
+  EXPECT_EQ(f.ww, g.ww);
+  region_sweeps::expect_field_identical(*full, *split, FieldId::kW, "cg_calc_w_fused");
+}
+
 
 }  // namespace
